@@ -1,7 +1,8 @@
 """Pluggable frame sources.
 
 The pipeline consumes FrameRecords from a DetectorBackend and does not
-care where they come from. Three schemes ship here:
+care where they come from. open_backend resolves a URI to a backend; it
+is the only place the schemes are spelled out. Three ship here:
 
   * synthetic:<script.json>: a deterministic scenario generator covering
     the five canonical scenes, so the whole pipeline runs and is tested
@@ -9,8 +10,8 @@ care where they come from. Three schemes ship here:
   * jsonl:<path>: replay of pre-computed model outputs with validation
     ("-" reads stdin);
   * extern:<name>: hook for real-inference adapters registered at
-    runtime; asking for one that is not registered is a clean capability
-    error, not a crash.
+    runtime; asking for one that is not registered is a clean
+    AdapterUnavailable error, not a crash.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .frames import (
 
 
 logger = logging.getLogger(__name__)
+
+REPLAY_SCHEME = "jsonl"
+SCHEMES = ("synthetic", REPLAY_SCHEME, "extern")
 
 
 class BadScript(ThreatwatchError):
@@ -202,13 +206,8 @@ def synthesize(script: ScenarioScript, seed: int | None = None) -> Iterator[Fram
 
 
 class DetectorBackend(ABC):
-    """A source of FrameRecords plus flags for which evidence channels it
-    can populate. At least one capability must be true; emitted records
-    must satisfy every frame-model invariant."""
-
-    provides_scores: bool = False
-    provides_detections: bool = False
-    provides_keypoints: bool = False
+    """A source of FrameRecords; emitted records must satisfy every
+    frame-model invariant. Any evidence channel may be absent."""
 
     @abstractmethod
     def frames(self) -> Iterator[FrameRecord]:
@@ -217,10 +216,6 @@ class DetectorBackend(ABC):
 
 class SyntheticBackend(DetectorBackend):
     """Scenario generator backend; emits all three evidence channels."""
-
-    provides_scores = True
-    provides_detections = True
-    provides_keypoints = True
 
     def __init__(self, script: ScenarioScript, seed: int | None = None) -> None:
         self.script = script
@@ -233,10 +228,11 @@ class SyntheticBackend(DetectorBackend):
 class ReplayBackend(DetectorBackend):
     """Replays a recorded FrameRecord JSONL file, validating every line.
 
-    on_error "raise" propagates the first bad line; "skip" drops bad lines
-    and counts them in .skipped. Capabilities are inferred from the first
-    record's populated channels; a path of "-" (stdin, single pass) or an
-    evidence-free first record falls back to claiming all three.
+    on_error "raise" propagates the first bad line; "skip" drops bad lines,
+    logging each one once, and counts them in .skipped. Nothing is opened
+    or read until frames() is iterated, and each line is parsed once per
+    pass. A path of "-" reads stdin (single pass); a file can be replayed
+    again.
     """
 
     def __init__(self, path: str, on_error: str = "raise") -> None:
@@ -245,22 +241,8 @@ class ReplayBackend(DetectorBackend):
         self.path = path
         self.on_error = on_error
         self.skipped = 0
-        self.provides_scores = True
-        self.provides_detections = True
-        self.provides_keypoints = True
-        if path != "-":
-            probe = self._parse_lines()
-            first = next(probe, None)
-            probe.close()
-            if first is not None and (
-                first.scores is not None or first.detections or first.keypoints
-            ):
-                self.provides_scores = first.scores is not None
-                self.provides_detections = bool(first.detections)
-                self.provides_keypoints = bool(first.keypoints)
-            self.skipped = 0
 
-    def _parse_lines(self) -> Iterator[FrameRecord]:
+    def frames(self) -> Iterator[FrameRecord]:
         if self.path == "-":
             fh = sys.stdin
             close = False
@@ -282,9 +264,6 @@ class ReplayBackend(DetectorBackend):
             if close:
                 fh.close()
 
-    def frames(self) -> Iterator[FrameRecord]:
-        return self._parse_lines()
-
 
 _EXTERN_ADAPTERS: dict[str, Callable[[str], DetectorBackend]] = {}
 
@@ -295,17 +274,22 @@ def register_extern_adapter(name: str, factory: Callable[[str], DetectorBackend]
     _EXTERN_ADAPTERS[name] = factory
 
 
-def open_backend(uri: str) -> DetectorBackend:
+def open_backend(uri: str, on_error: str = "raise") -> DetectorBackend:
     """Resolve a backend URI: "synthetic:<script.json>", "jsonl:<path>"
     ("-" for stdin), or "extern:<adapter>[:arg]". Raises UnknownScheme for
-    anything else and AdapterUnavailable for an unregistered adapter."""
+    anything else and AdapterUnavailable for an unregistered adapter.
+
+    on_error is the ReplayBackend bad-line policy for "jsonl:": "raise"
+    stops at the first malformed or invalid line, "skip" logs, counts and
+    drops it. The other schemes do not read recorded lines and ignore it.
+    """
     scheme, sep, rest = uri.partition(":")
     if not sep:
         raise UnknownScheme(f"backend URI needs a scheme prefix, got {uri!r}")
     if scheme == "synthetic":
         return SyntheticBackend(load_script(rest))
-    if scheme == "jsonl":
-        return ReplayBackend(rest)
+    if scheme == REPLAY_SCHEME:
+        return ReplayBackend(rest, on_error)
     if scheme == "extern":
         name, _, arg = rest.partition(":")
         factory = _EXTERN_ADAPTERS.get(name)

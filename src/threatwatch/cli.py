@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import os
@@ -29,8 +30,10 @@ from typing import Iterator, TextIO
 
 from .alerts import AlertKind, AlertTracker, TemporalConfig, serialize_alert_event
 from .backends import (
+    REPLAY_SCHEME,
+    SCHEMES,
     DetectorBackend,
-    ReplayBackend,
+    UnknownScheme,
     load_script,
     open_backend,
     synthesize,
@@ -43,7 +46,7 @@ from .evaluation import (
     per_class_accuracy,
     render_report,
 )
-from .frames import read_manifest, serialize_frame_record, validate_manifest
+from .frames import FrameRecord, read_manifest, serialize_frame_record, validate_manifest
 from .fusion import FusionConfig, assess_frame, serialize_assessment
 from .webhook import WebhookSink
 
@@ -166,14 +169,23 @@ def _out_stream(path: str) -> Iterator[TextIO]:
             fh.close()
 
 
-def _resolve_backend(uri: str, strict: bool) -> DetectorBackend:
-    """Open an input source. Known scheme prefixes pass through; anything
-    else (including "-") is treated as a JSONL path."""
-    if uri.startswith("jsonl:"):
-        return ReplayBackend(uri[len("jsonl:"):], on_error="raise" if strict else "skip")
-    if uri.startswith(("synthetic:", "extern:")):
-        return open_backend(uri)
-    return ReplayBackend(uri, on_error="raise" if strict else "skip")
+@contextlib.contextmanager
+def _input_frames(uri: str, on_error: str) -> Iterator[tuple[DetectorBackend, Iterator[FrameRecord]]]:
+    """Open --input and read ahead to its first record, so a missing or bad
+    input fails before the caller creates any output file. An input that is
+    not a backend URI is read as a JSONL path. The records are closed on
+    exit, which also closes the input file when the output cannot open."""
+    try:
+        backend = open_backend(uri, on_error)
+    except UnknownScheme:
+        backend = open_backend(f"{REPLAY_SCHEME}:{uri}", on_error)
+    records = backend.frames()
+    try:
+        first = next(records, None)
+        yield backend, records if first is None else itertools.chain((first,), records)
+    finally:
+        if hasattr(records, "close"):
+            records.close()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -210,13 +222,13 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     config = load_pipeline_config(args.config)
     logging.getLogger().setLevel(_LOG_LEVELS[config.log_level])
-    backend = _resolve_backend(args.input, args.strict)
     fusion_cfg = config.fusion
     frames = 0
     started = time.perf_counter()
-    with _out_stream(args.out) as out:
+    with (_input_frames(args.input, "raise" if args.strict else "skip") as (backend, records),
+          _out_stream(args.out) as out):
         write = out.write
-        for record in backend.frames():
+        for record in records:
             frames += 1
             write(serialize_assessment(assess_frame(record, fusion_cfg)))
             write("\n")
@@ -234,36 +246,32 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     config = load_pipeline_config(args.config)
     logging.getLogger().setLevel(_LOG_LEVELS[config.log_level])
-    backend = _resolve_backend(args.input, strict=False)
     webhook_url = args.webhook or config.webhook_url
-    sink = WebhookSink(webhook_url) if webhook_url else None
     tracker = AlertTracker(config.temporal)
     fusion_cfg = config.fusion
     frames = 0
     raised = 0
     events = 0
     started = time.perf_counter()
-    try:
-        with _out_stream(args.alerts) as out:
-            for record in backend.frames():
-                frames += 1
-                assessment = assess_frame(record, fusion_cfg)
-                event = tracker.feed(assessment, record.ts_ms)
-                if event is not None:
-                    events += 1
-                    if event.kind is AlertKind.RAISED:
-                        raised += 1
-                    out.write(serialize_alert_event(event) + "\n")
-                    if sink is not None:
-                        sink.send(event)
-            for event in tracker.flush_all():
+    with (_input_frames(args.input, "skip") as (backend, records),
+          WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
+          _out_stream(args.alerts) as out):
+        for record in records:
+            frames += 1
+            assessment = assess_frame(record, fusion_cfg)
+            event = tracker.feed(assessment, record.ts_ms)
+            if event is not None:
                 events += 1
+                if event.kind is AlertKind.RAISED:
+                    raised += 1
                 out.write(serialize_alert_event(event) + "\n")
                 if sink is not None:
                     sink.send(event)
-    finally:
-        if sink is not None:
-            sink.close()
+        for event in tracker.flush_all():
+            events += 1
+            out.write(serialize_alert_event(event) + "\n")
+            if sink is not None:
+                sink.send(event)
     elapsed = time.perf_counter() - started
     skipped = getattr(backend, "skipped", 0)
     rate = frames / elapsed if elapsed > 0 else 0.0
@@ -304,6 +312,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+_INPUT_HELP = (f"frame source: a {'/'.join(s + ':' for s in SCHEMES)} URI; anything "
+               "else is a JSONL path ('-' = stdin)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threatwatch",
@@ -324,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("score", help="per-frame fused assessments")
-    p.add_argument("--input", required=True,
-                   help="frame source: a JSONL path ('-' = stdin) or a "
-                        "synthetic:/jsonl:/extern: URI")
+    p.add_argument("--input", required=True, help=_INPUT_HELP)
     p.add_argument("--config", default=None,
                    help=f"pipeline config JSON (default ${CONFIG_ENV_VAR})")
     p.add_argument("--out", default="-", help="assessments JSONL ('-' = stdout)")
@@ -336,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("watch", help="assessments + temporal alert events")
-    p.add_argument("--input", required=True,
-                   help="frame source: a JSONL path ('-' = stdin) or a "
-                        "synthetic:/jsonl:/extern: URI")
+    p.add_argument("--input", required=True, help=_INPUT_HELP)
     p.add_argument("--config", default=None,
                    help=f"pipeline config JSON (default ${CONFIG_ENV_VAR})")
     p.add_argument("--alerts", default="-", help="alert events JSONL ('-' = stdout)")

@@ -123,9 +123,6 @@ class SplitAssignment:
             out[split] += 1
         return out
 
-    def ids_for(self, split: Split) -> list[str]:
-        return sorted(s for s, v in self.assignment.items() if v is split)
-
 
 def make_splits(
     manifest: list[ManifestEntry],

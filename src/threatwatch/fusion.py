@@ -9,8 +9,8 @@ ThreatAssessment:
   * hand/knife detections -> proximity-paired grasp hypotheses plus the
     overhand geometry check (hand box center above the knife box center by a
     vertical margin, y-down coordinates),
-  * pose keypoints -> a wrist gate that separates a knife-holding hand from
-    an empty fist.
+  * pose keypoints -> a wrist gate, reported in the evidence trail, that
+    tells a wrist near a knife from a bare fist.
 
 Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. Everything here is pure and
@@ -55,8 +55,6 @@ class ThreatLevel(IntEnum):
     def wire(self) -> str:
         return self.name.lower()
 
-
-_LEVELS_BY_WIRE = {level.wire: level for level in ThreatLevel}
 
 # Disjoint, ordered score bands per level: (low, high).
 SCORE_BANDS = {
@@ -161,39 +159,51 @@ def is_overhand(hand_box: BoundingBox, knife_box: BoundingBox, cfg: FusionConfig
     cfg.epsilon_vert (y grows downward). Horizontal offset is not checked;
     association already bounds proximity. Equal centers are non-threatening.
     """
-    hand_cy = hand_box.y + hand_box.h / 2.0
-    knife_cy = knife_box.y + knife_box.h / 2.0
-    return knife_cy - hand_cy >= cfg.epsilon_vert - GEOM_TOL
+    return knife_box.center()[1] - hand_box.center()[1] >= cfg.epsilon_vert - GEOM_TOL
+
+
+# (distance, hand_idx, knife_idx, hand, knife, overhand)
+_Edge = tuple[float, int, int, InstanceDetection, InstanceDetection, bool]
 
 
 def _candidate_edges(
     detections: tuple[InstanceDetection, ...] | list[InstanceDetection], cfg: FusionConfig
-) -> list[tuple[float, int, int, InstanceDetection, InstanceDetection]]:
-    """All (distance, hand_idx, knife_idx, hand, knife) pairs of qualifying
-    detections whose centers lie within cfg.delta_assoc of each other."""
+) -> list[_Edge]:
+    """All (distance, hand_idx, knife_idx, hand, knife, overhand) pairs of
+    qualifying detections whose centers lie within cfg.delta_assoc of each
+    other, in ascending (distance, hand_idx, knife_idx) order."""
     hands = []
     knives = []
     tau = cfg.tau_det
     for i, det in enumerate(detections):
         if det.conf >= tau:
-            if det.label is Label.HAND:
-                hands.append((i, det))
-            else:
-                knives.append((i, det))
+            (hands if det.label is Label.HAND else knives).append((i, det, det.box.center()))
     if not hands or not knives:
         return []
     limit = cfg.delta_assoc + GEOM_TOL
     edges = []
-    for hi, hand in hands:
-        hcx = hand.box.x + hand.box.w / 2.0
-        hcy = hand.box.y + hand.box.h / 2.0
-        for ki, knife in knives:
-            kcx = knife.box.x + knife.box.w / 2.0
-            kcy = knife.box.y + knife.box.h / 2.0
+    for hi, hand, (hcx, hcy) in hands:
+        for ki, knife, (kcx, kcy) in knives:
             dist = math.hypot(kcx - hcx, kcy - hcy)
             if dist <= limit:
-                edges.append((dist, hi, ki, hand, knife))
+                edges.append((dist, hi, ki, hand, knife, is_overhand(hand.box, knife.box, cfg)))
+    # (hand_idx, knife_idx) is unique, so the sort never compares detections.
+    edges.sort()
     return edges
+
+
+def _match(edges: list[_Edge]) -> list[GraspPair]:
+    """Greedy matching over sorted edges, each detection used at most once."""
+    used_hands: set[int] = set()
+    used_knives: set[int] = set()
+    pairs = []
+    for dist, hi, ki, hand, knife, overhand in edges:
+        if hi in used_hands or ki in used_knives:
+            continue
+        used_hands.add(hi)
+        used_knives.add(ki)
+        pairs.append(GraspPair(hand, knife, hi, ki, dist, overhand))
+    return pairs
 
 
 def associate_hand_knife(
@@ -206,20 +216,7 @@ def associate_hand_knife(
     ascending distance order (ties broken by lower hand index, then lower
     knife index, in input order) with each detection used at most once.
     """
-    edges = _candidate_edges(detections, cfg)
-    if not edges:
-        return []
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
-    used_hands: set[int] = set()
-    used_knives: set[int] = set()
-    pairs = []
-    for dist, hi, ki, hand, knife in edges:
-        if hi in used_hands or ki in used_knives:
-            continue
-        used_hands.add(hi)
-        used_knives.add(ki)
-        pairs.append(GraspPair(hand, knife, hi, ki, dist, is_overhand(hand.box, knife.box, cfg)))
-    return pairs
+    return _match(_candidate_edges(detections, cfg))
 
 
 def pose_gate(
@@ -242,8 +239,7 @@ def pose_gate(
     limit = cfg.delta_wrist + GEOM_TOL
     for det in detections:
         if det.label is Label.KNIFE and det.conf >= cfg.tau_det:
-            kcx = det.box.x + det.box.w / 2.0
-            kcy = det.box.y + det.box.h / 2.0
+            kcx, kcy = det.box.center()
             for kp in wrists:
                 if math.hypot(kp.x - kcx, kp.y - kcy) <= limit:
                     return PoseEvidence.WRIST_NEAR_KNIFE
@@ -281,83 +277,48 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
     """
     detections = record.detections
     edges = _candidate_edges(detections, cfg)
-
-    pairs: list[GraspPair] = []
     if edges:
-        edges.sort(key=lambda e: (e[0], e[1], e[2]))
-        used_hands: set[int] = set()
-        used_knives: set[int] = set()
-        for dist, hi, ki, hand, knife in edges:
-            if hi in used_hands or ki in used_knives:
-                continue
-            used_hands.add(hi)
-            used_knives.add(ki)
-            pairs.append(GraspPair(hand, knife, hi, ki, dist, is_overhand(hand.box, knife.box, cfg)))
-
-    gate = pose_gate(record.keypoints, detections, cfg)
-
-    best_knife_conf = -1.0
-    best_knife_index = -1
-    tau = cfg.tau_det
-    for i, det in enumerate(detections):
-        if det.label is Label.KNIFE and det.conf >= tau and det.conf > best_knife_conf:
-            best_knife_conf = det.conf
-            best_knife_index = i
-
-    # Best overhand candidate across all qualifying edges, matched or not.
-    best_overhand: tuple[float, int, int] | None = None
-    for dist, hi, ki, hand, knife in edges:
-        if is_overhand(hand.box, knife.box, cfg):
-            strength = min(hand.conf, knife.conf)
-            key = (-strength, hi, ki)
-            if best_overhand is None or key < (-best_overhand[0], best_overhand[1], best_overhand[2]):
-                best_overhand = (strength, hi, ki)
-
-    evidence: list[str] = []
-    for p in pairs:
-        tag = f"pair:h{p.hand_index}-k{p.knife_index}"
-        if p.overhand:
-            tag += ":overhand"
-        evidence.append(tag)
-
-    if best_overhand is not None:
-        level = ThreatLevel.OVERHAND_THREAT
-        strength, hi, ki = best_overhand
-        score = _clamp(0.90 + 0.10 * strength, SCORE_BANDS[level])
-        winning_tag = f"pair:h{hi}-k{ki}:overhand"
-        if winning_tag not in evidence:
-            evidence.append(winning_tag)
-    elif pairs:
-        level = ThreatLevel.GRASPED
-        strength = max(min(p.hand.conf, p.knife.conf) for p in pairs)
-        score = _clamp(0.70 + 0.10 * strength, SCORE_BANDS[level])
-    elif best_knife_index >= 0:
-        level = ThreatLevel.OBJECT_PRESENT
-        score = _clamp(0.40 + 0.10 * best_knife_conf, SCORE_BANDS[level])
-        evidence.append(f"knife:k{best_knife_index}")
-    elif record.scores is not None and classify_scores(record.scores, cfg) is FrameClass.THREAT:
-        level = ThreatLevel.OBJECT_PRESENT
-        score = _clamp(0.40 + 0.10 * record.scores.threat, SCORE_BANDS[level])
-        evidence.append("classifier:threat")
+        # Every edge set yields at least one pair: GRASPED or above.
+        pairs = _match(edges)
+        evidence = [f"pair:h{p.hand_index}-k{p.knife_index}{':overhand' if p.overhand else ''}" for p in pairs]
+        # Best overhand candidate across all edges, matched or not: strongest
+        # min conf, then lowest hand index, then lowest knife index.
+        best_overhand = min(
+            ((-min(hand.conf, knife.conf), hi, ki) for _, hi, ki, hand, knife, overhand in edges if overhand),
+            default=None,
+        )
+        if best_overhand is None:
+            level = ThreatLevel.GRASPED
+            strength = max(min(p.hand.conf, p.knife.conf) for p in pairs)
+            score = _clamp(0.70 + 0.10 * strength, SCORE_BANDS[level])
+        else:
+            level = ThreatLevel.OVERHAND_THREAT
+            neg_strength, hi, ki = best_overhand
+            score = _clamp(0.90 + 0.10 * -neg_strength, SCORE_BANDS[level])
+            winning_tag = f"pair:h{hi}-k{ki}:overhand"
+            if winning_tag not in evidence:
+                evidence.append(winning_tag)
     else:
-        level = ThreatLevel.NONE
-        score = 0.0
+        best_knife_conf = -1.0
+        best_knife_index = -1
+        tau = cfg.tau_det
+        for i, det in enumerate(detections):
+            if det.label is Label.KNIFE and det.conf >= tau and det.conf > best_knife_conf:
+                best_knife_conf = det.conf
+                best_knife_index = i
+        if best_knife_index >= 0:
+            level = ThreatLevel.OBJECT_PRESENT
+            score = _clamp(0.40 + 0.10 * best_knife_conf, SCORE_BANDS[level])
+            evidence = [f"knife:k{best_knife_index}"]
+        elif record.scores is not None and classify_scores(record.scores, cfg) is FrameClass.THREAT:
+            level = ThreatLevel.OBJECT_PRESENT
+            score = _clamp(0.40 + 0.10 * record.scores.threat, SCORE_BANDS[level])
+            evidence = ["classifier:threat"]
+        else:
+            return ThreatAssessment(record.stream_id, record.frame_id, ThreatLevel.NONE, 0.0, ())
 
-    # Fist false-positive suppression. Unreachable while GRASPED requires a
-    # qualifying knife, kept as a guard for classifier-only level sources.
-    if (
-        level is ThreatLevel.GRASPED
-        and gate is PoseEvidence.WRIST_NO_KNIFE
-        and best_knife_index < 0
-    ):
-        level = ThreatLevel.NONE
-        score = 0.0
-
-    if level is ThreatLevel.NONE:
-        evidence = []
-    elif record.keypoints:
-        evidence.append(f"pose:{gate.value}")
-
+    if record.keypoints:
+        evidence.append(f"pose:{pose_gate(record.keypoints, detections, cfg).value}")
     return ThreatAssessment(record.stream_id, record.frame_id, level, score, tuple(evidence))
 
 
@@ -375,9 +336,3 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
     """One compact JSON line (no trailing newline)."""
     return json.dumps(assessment_to_dict(assessment), separators=(",", ":"))
 
-
-def level_from_wire(name: str) -> ThreatLevel:
-    try:
-        return _LEVELS_BY_WIRE[name]
-    except KeyError:
-        raise ValueError(f"unknown threat level {name!r}") from None

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -145,9 +146,6 @@ def test_load_script_file(tmp_path):
 
 def test_synthetic_backend_capabilities_and_frames():
     backend = SyntheticBackend(script(Segment(Scene.KNIFE_GRASPED, 3), seed=2))
-    assert backend.provides_scores
-    assert backend.provides_detections
-    assert backend.provides_keypoints
     assert [r.frame_id for r in backend.frames()] == [1, 2, 3]
 
 
@@ -166,19 +164,6 @@ def test_replay_backend_round_trip(tmp_path):
     assert list(backend.frames()) == records
 
 
-def test_replay_capabilities_from_first_record(tmp_path):
-    scores_only = '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":0.9,"no_threat":0.05,"hand":0.05}}'
-    path = _write_jsonl(tmp_path, "scores.jsonl", [scores_only])
-    backend = ReplayBackend(path)
-    assert backend.provides_scores
-    assert not backend.provides_detections
-    assert not backend.provides_keypoints
-
-    bare = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
-    backend = ReplayBackend(_write_jsonl(tmp_path, "bare.jsonl", [bare]))
-    assert backend.provides_scores and backend.provides_detections and backend.provides_keypoints
-
-
 def test_replay_skip_counts_bad_lines(tmp_path):
     good = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
     path = _write_jsonl(tmp_path, "mixed.jsonl", [good, "{broken", good.replace('"frame_id":1', '"frame_id":2')])
@@ -190,6 +175,18 @@ def test_replay_skip_counts_bad_lines(tmp_path):
     with pytest.raises(MalformedJson) as exc_info:
         list(strict.frames())
     assert exc_info.value.line_no == 2
+
+
+def test_replay_bad_leading_line_warns_once(tmp_path, caplog):
+    good = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
+    path = _write_jsonl(tmp_path, "lead.jsonl", ["{broken", good])
+    with caplog.at_level(logging.WARNING, logger="threatwatch.backends"):
+        backend = ReplayBackend(path, on_error="skip")
+        assert [r.frame_id for r in backend.frames()] == [1]
+    warnings = [r for r in caplog.records if r.name == "threatwatch.backends"]
+    assert len(warnings) == 1
+    assert "line 1" in warnings[0].getMessage()
+    assert backend.skipped == 1
 
 
 def test_replay_rejects_unknown_mode(tmp_path):

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from threatwatch import backends
 from threatwatch.cli import main
 from threatwatch.evaluation import Split, make_splits
 from threatwatch.frames import ManifestEntry, ManifestLabel, serialize_frame_record
@@ -144,8 +145,41 @@ def test_score_strict_aborts_on_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_score_non_uri_input_is_a_jsonl_path(tmp_path, capsys, monkeypatch):
+    (tmp_path / "ftp:frames.jsonl").write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n')
+    monkeypatch.chdir(tmp_path)
+    assert main(["score", "--input", "ftp:frames.jsonl", "--out", "a.jsonl"]) == 0
+    assert main(["score", "--input", "jsonl:ftp:frames.jsonl", "--out", "b.jsonl"]) == 0
+    assert (tmp_path / "a.jsonl").read_text() == (tmp_path / "b.jsonl").read_text() != ""
+
+
 def test_score_missing_input_exits_2(tmp_path, capsys):
     assert main(["score", "--input", str(tmp_path / "ghost.jsonl"), "--out", "-"]) == 2
+
+
+@pytest.mark.parametrize("command, out_flag", [("score", "--out"), ("watch", "--alerts")])
+def test_missing_input_leaves_existing_out_untouched(tmp_path, capsys, command, out_flag):
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier run\n")
+    assert main([command, "--input", str(tmp_path / "ghost.jsonl"), out_flag, str(out)]) == 2
+    assert out.read_text() == "earlier run\n"
+
+
+def test_unwritable_out_exits_2_and_closes_input(tmp_path, capsys, monkeypatch):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n')
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(backends, "open", recording_open, raising=False)
+    # a directory cannot be opened for writing, whatever the permissions
+    assert main(["score", "--input", str(frames), "--out", str(tmp_path)]) == 2
+    assert opened
+    assert all(fh.closed for fh in opened)
 
 
 def test_score_synthetic_uri(tmp_path, capsys):

@@ -24,7 +24,6 @@ from threatwatch.fusion import (
     associate_hand_knife,
     classify_scores,
     is_overhand,
-    level_from_wire,
     pose_gate,
     serialize_assessment,
 )
@@ -298,9 +297,6 @@ def test_assessment_wire_format():
 
 def test_level_wire_names():
     assert ThreatLevel.OVERHAND_THREAT.wire == "overhand_threat"
-    assert level_from_wire("grasped") is ThreatLevel.GRASPED
-    with pytest.raises(ValueError):
-        level_from_wire("red_alert")
     assert ThreatLevel.NONE < ThreatLevel.OBJECT_PRESENT < ThreatLevel.GRASPED < ThreatLevel.OVERHAND_THREAT
 
 

@@ -51,6 +51,7 @@ def test_delivers_event_as_json():
         assert json.loads(body) == alert_event_to_dict(EVENT)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_retries_once_then_succeeds():
@@ -63,6 +64,7 @@ def test_retries_once_then_succeeds():
         assert len(server.requests) == 2
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_double_failure_is_counted_not_raised():
@@ -75,6 +77,7 @@ def test_double_failure_is_counted_not_raised():
         assert len(server.requests) == 2
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_unreachable_host_never_raises():
@@ -106,3 +109,4 @@ def test_close_is_idempotent():
         assert sink.delivered == 1
     finally:
         server.shutdown()
+        server.server_close()
