@@ -30,11 +30,12 @@ from .frames import (
     BoundingBox,
     ClassScores,
     FrameRecord,
-    InstanceDetection,
     Label,
     MalformedJson,
     PoseKeypoint,
     SchemaViolation,
+    _new_detection,
+    _new_record,
     parse_frame_record,
 )
 
@@ -172,37 +173,31 @@ def synthesize(script: ScenarioScript, seed: int | None = None) -> Iterator[Fram
     seed) yields byte-identical serialized output. seed overrides the
     script's own when given.
     """
-    rng = random.Random(script.seed if seed is None else seed)
+    draw = random.Random(script.seed if seed is None else seed).random
+    stream_id = script.stream_id
     frame_id = 0
     for segment in script.segments:
-        scores = ClassScores(*_SCENE_SCORES[segment.scene])
-        for _ in range(segment.duration_frames):
-            frame_id += 1
-            detections = []
-            hand_box = _HAND_BOXES.get(segment.scene)
-            if hand_box is not None:
-                conf = 0.90 + rng.random() * segment.noise
-                detections.append(
-                    InstanceDetection(Label.HAND, hand_box, conf, hand_box.w * hand_box.h * 0.6)
-                )
-            knife_box = _KNIFE_BOXES.get(segment.scene)
-            if knife_box is not None:
-                conf = 0.90 + rng.random() * segment.noise
-                detections.append(
-                    InstanceDetection(Label.KNIFE, knife_box, conf, knife_box.w * knife_box.h * 0.6)
-                )
-            keypoints = []
-            wrist = _WRISTS.get(segment.scene)
-            if wrist is not None:
-                keypoints.append(PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF))
-            yield FrameRecord(
-                stream_id=script.stream_id,
-                frame_id=frame_id,
-                ts_ms=_FRAME_INTERVAL_MS * (frame_id - 1),
-                scores=scores,
-                detections=tuple(detections),
-                keypoints=tuple(keypoints),
-            )
+        scene = segment.scene
+        noise = segment.noise
+        scores = ClassScores(*_SCENE_SCORES[scene])
+        # (label, box, mask_area) per detection, hand first: the order in
+        # which each frame draws its confidences.
+        templates = [
+            (label, box, box.w * box.h * 0.6)
+            for label, box in ((Label.HAND, _HAND_BOXES.get(scene)), (Label.KNIFE, _KNIFE_BOXES.get(scene)))
+            if box is not None
+        ]
+        wrist = _WRISTS.get(scene)
+        keypoints = () if wrist is None else (PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF),)
+        first = frame_id + 1
+        frame_id += segment.duration_frames
+        for fid in range(first, frame_id + 1):
+            # Every value below is valid by construction (conf lies in
+            # [0.90, 1.0) because noise <= 0.1, a mask covers 0.6 of its
+            # box), so the records skip the constructors' checks.
+            detections = tuple([_new_detection(label, box, 0.90 + draw() * noise, mask_area)
+                                for label, box, mask_area in templates])
+            yield _new_record(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores, detections, keypoints)
 
 
 class DetectorBackend(ABC):

@@ -23,17 +23,20 @@ failing loudly.
 Manifest wire format (JSONL): {"sample_id": "img_0001", "label": "threat"},
 with label one of "threat" | "no_threat" | "hand".
 
-All types here are immutable value objects; construction validates every
-invariant, so a value that exists is a valid one. Parsing is stateless and
-reentrant.
+All types here are immutable value objects, and a value that exists is a
+valid one. The public constructors validate every invariant. The parser
+checks each JSON value's type and range once, then builds the records
+through trusted constructors that skip the second check. Each invariant is
+written once, as a function returning the reason a value breaks it, which
+both paths call. Parsing is stateless and reentrant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import ThreatwatchError
 
@@ -105,6 +108,70 @@ _LABELS = {m.value: m for m in Label}
 _MANIFEST_LABELS = {m.value: m for m in ManifestLabel}
 
 
+def _box_error(x: float, y: float, w: float, h: float) -> str | None:
+    """Why (x, y, w, h) is no valid BoundingBox, or None."""
+    if not (0.0 <= x <= 1.0):
+        return f"x must be within [0, 1], got {x}"
+    if not (0.0 <= y <= 1.0):
+        return f"y must be within [0, 1], got {y}"
+    if not (0.0 < w <= 1.0):
+        return f"w must be within (0, 1], got {w}"
+    if not (0.0 < h <= 1.0):
+        return f"h must be within (0, 1], got {h}"
+    if x + w > 1.0 + EDGE_TOL:
+        return f"box exceeds right edge: x + w = {x + w}"
+    if y + h > 1.0 + EDGE_TOL:
+        return f"box exceeds bottom edge: y + h = {y + h}"
+    return None
+
+
+def _detection_error(conf: float, mask_area: float | None, box: BoundingBox) -> str | None:
+    """Why conf and mask_area are no valid InstanceDetection on box, or None."""
+    if not (0.0 <= conf <= 1.0):
+        return f"conf must be within [0, 1], got {conf}"
+    if mask_area is not None:
+        if not (0.0 < mask_area <= 1.0):
+            return f"mask_area must be within (0, 1], got {mask_area}"
+        if mask_area > box.w * box.h + 1e-6:
+            return f"mask_area {mask_area} exceeds box area {box.w * box.h}"
+    return None
+
+
+def _scores_error(threat: float, no_threat: float, hand: float) -> str | None:
+    """Why the three scores are no valid ClassScores, or None."""
+    for name, v in (("threat", threat), ("no_threat", no_threat), ("hand", hand)):
+        if not (0.0 <= v <= 1.0):
+            return f"{name} must be within [0, 1], got {v}"
+    total = threat + no_threat + hand
+    if not (1.0 - SCORE_TOL <= total <= 1.0 + SCORE_TOL):
+        return f"scores must sum to 1 within {SCORE_TOL}, got {total}"
+    return None
+
+
+def _keypoint_error(name: str, x: float, y: float, conf: float) -> str | None:
+    """Why (name, x, y, conf) is no valid PoseKeypoint, or None."""
+    if not name:
+        return "name must be non-empty"
+    if not (0.0 <= x <= 1.0):
+        return f"x must be within [0, 1], got {x}"
+    if not (0.0 <= y <= 1.0):
+        return f"y must be within [0, 1], got {y}"
+    if not (0.0 <= conf <= 1.0):
+        return f"conf must be within [0, 1], got {conf}"
+    return None
+
+
+def _record_error(stream_id: str, frame_id: int, ts_ms: int) -> str | None:
+    """Why the identity fields are no valid FrameRecord, or None."""
+    if not stream_id:
+        return "stream_id must be non-empty"
+    if not (0 <= frame_id <= _UINT64_MAX):
+        return f"frame_id must be a uint64, got {frame_id}"
+    if not (0 <= ts_ms <= _UINT64_MAX):
+        return f"ts_ms must be a uint64, got {ts_ms}"
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in normalized image coordinates, y down.
@@ -119,18 +186,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError(f"x must be within [0, 1], got {self.x}")
-        if not (0.0 <= self.y <= 1.0):
-            raise ValueError(f"y must be within [0, 1], got {self.y}")
-        if not (0.0 < self.w <= 1.0):
-            raise ValueError(f"w must be within (0, 1], got {self.w}")
-        if not (0.0 < self.h <= 1.0):
-            raise ValueError(f"h must be within (0, 1], got {self.h}")
-        if self.x + self.w > 1.0 + EDGE_TOL:
-            raise ValueError(f"box exceeds right edge: x + w = {self.x + self.w}")
-        if self.y + self.h > 1.0 + EDGE_TOL:
-            raise ValueError(f"box exceeds bottom edge: y + h = {self.y + self.h}")
+        error = _box_error(self.x, self.y, self.w, self.h)
+        if error is not None:
+            raise ValueError(error)
 
     def center(self) -> tuple[float, float]:
         """Center point (cx, cy) of the box."""
@@ -151,15 +209,9 @@ class InstanceDetection:
     mask_area: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.conf <= 1.0):
-            raise ValueError(f"conf must be within [0, 1], got {self.conf}")
-        if self.mask_area is not None:
-            if not (0.0 < self.mask_area <= 1.0):
-                raise ValueError(f"mask_area must be within (0, 1], got {self.mask_area}")
-            if self.mask_area > self.box.w * self.box.h + 1e-6:
-                raise ValueError(
-                    f"mask_area {self.mask_area} exceeds box area {self.box.w * self.box.h}"
-                )
+        error = _detection_error(self.conf, self.mask_area, self.box)
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,12 +226,9 @@ class ClassScores:
     hand: float
 
     def __post_init__(self) -> None:
-        for name, v in (("threat", self.threat), ("no_threat", self.no_threat), ("hand", self.hand)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be within [0, 1], got {v}")
-        total = self.threat + self.no_threat + self.hand
-        if not (1.0 - SCORE_TOL <= total <= 1.0 + SCORE_TOL):
-            raise ValueError(f"scores must sum to 1 within {SCORE_TOL}, got {total}")
+        error = _scores_error(self.threat, self.no_threat, self.hand)
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,14 +247,9 @@ class PoseKeypoint:
     conf: float
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("name must be non-empty")
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError(f"x must be within [0, 1], got {self.x}")
-        if not (0.0 <= self.y <= 1.0):
-            raise ValueError(f"y must be within [0, 1], got {self.y}")
-        if not (0.0 <= self.conf <= 1.0):
-            raise ValueError(f"conf must be within [0, 1], got {self.conf}")
+        error = _keypoint_error(self.name, self.x, self.y, self.conf)
+        if error is not None:
+            raise ValueError(error)
 
     def kind(self) -> KeypointKind:
         lowered = self.name.lower()
@@ -232,12 +276,37 @@ class FrameRecord:
     keypoints: tuple[PoseKeypoint, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.stream_id:
-            raise ValueError("stream_id must be non-empty")
-        if not (0 <= self.frame_id <= _UINT64_MAX):
-            raise ValueError(f"frame_id must be a uint64, got {self.frame_id}")
-        if not (0 <= self.ts_ms <= _UINT64_MAX):
-            raise ValueError(f"ts_ms must be a uint64, got {self.ts_ms}")
+        error = _record_error(self.stream_id, self.frame_id, self.ts_ms)
+        if error is not None:
+            raise ValueError(error)
+
+
+_T = TypeVar("_T")
+
+
+def _trusted(cls: type[_T]) -> Callable[..., _T]:
+    """A constructor for the frozen slots dataclass cls that takes every
+    field positionally and stores it through its slot descriptor, running
+    neither __init__ nor __post_init__. Only for values already checked
+    against the class's invariants. The body is generated, as dataclass
+    generates __init__, so each call is one allocation and one store per
+    field with no loop."""
+    names = [f.name for f in fields(cls)]
+    env: dict = {"new": object.__new__, "cls": cls}
+    body = ""
+    for name in names:
+        env[f"set_{name}"] = getattr(cls, name).__set__
+        body += f"    set_{name}(obj, {name})\n"
+    func = f"new_{cls.__name__}"
+    exec(f"def {func}({', '.join(names)}):\n    obj = new(cls)\n{body}    return obj\n", env)
+    return env[func]
+
+
+_new_box = _trusted(BoundingBox)
+_new_detection = _trusted(InstanceDetection)
+_new_scores = _trusted(ClassScores)
+_new_keypoint = _trusted(PoseKeypoint)
+_new_record = _trusted(FrameRecord)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,67 +331,170 @@ class ManifestStats:
         }
 
 
-def _num(obj: dict, key: str, line_no: int, path: str) -> float:
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaViolation(line_no, f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+# The parsers below see only what json.loads builds, whose containers and
+# scalars are exactly dict, list, str, int, float, bool and None. So exact
+# type tests stand in for isinstance, and `type(v) is int` excludes bool.
+# The common case, a float, costs one type test and no call.
 
 
-def _uint(obj: dict, key: str, line_no: int, path: str) -> int:
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaViolation(line_no, f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
+class _Invalid(Exception):
+    """A schema fault raised before the line number is known. path is
+    relative to the part being parsed; each enclosing parser puts its own
+    path in front, and _parse_line turns it into a SchemaViolation."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        self.path = path
+        self.reason = reason
 
 
-def _text(obj: dict, key: str, line_no: int, path: str) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str):
-        raise SchemaViolation(line_no, f"{path}.{key}", f"expected a string, got {v!r}")
-    return v
+def _expected(path: str, what: str, value: object) -> _Invalid:
+    return _Invalid(path, f"expected {what}, got {value!r}")
 
 
-def _parse_detection(obj: object, line_no: int, path: str) -> InstanceDetection:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(line_no, path, f"expected an object, got {obj!r}")
-    label_text = _text(obj, "label", line_no, path)
+def _number(value: object, path: str) -> float | int:
+    """A JSON number as a float. An integer too large for any float is
+    returned as is: it lies outside every range the schema allows, so the
+    range check that follows rejects it with its own message."""
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return value
+    if type(value) is float:
+        return value
+    raise _expected(path, "a number", value)
+
+
+def _parse_line(line: str, line_no: int, build: Callable[[dict], _T]) -> _T:
+    """Decode one JSONL line into a JSON object and build a value from it.
+    Every fault surfaces as MalformedJson or SchemaViolation."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        # ValueError: JSONDecodeError, or an integer longer than the
+        # interpreter's digit limit. RecursionError: nesting too deep.
+        raise MalformedJson(line_no, str(e)) from None
+    if type(obj) is not dict:
+        raise MalformedJson(line_no, f"expected a JSON object, got {type(obj).__name__}")
+    try:
+        return build(obj)
+    except _Invalid as e:
+        raise SchemaViolation(line_no, e.path, e.reason) from None
+
+
+def _array(raw: object, parse: Callable[[object], _T], path: str) -> tuple[_T, ...]:
+    """Parse each element of a JSON array; a fault's path gets the
+    array's path and the element index in front."""
+    if type(raw) is not list:
+        raise _expected(path, "an array", raw)
+    parts: list = []
+    append = parts.append
+    try:
+        for item in raw:
+            append(parse(item))
+    except _Invalid as e:
+        raise _Invalid(f"{path}[{len(parts)}]{e.path}", e.reason) from None
+    return tuple(parts)
+
+
+def _detection(obj: object) -> InstanceDetection:
+    if type(obj) is not dict:
+        raise _expected("", "an object", obj)
+    get = obj.get
+    label_text = get("label")
+    if type(label_text) is not str:
+        raise _expected(".label", "a string", label_text)
     label = _LABELS.get(label_text)
     if label is None:
-        raise SchemaViolation(line_no, f"{path}.label", f"unknown label {label_text!r}")
-    box_raw = obj.get("box")
-    if (
-        not isinstance(box_raw, list)
-        or len(box_raw) != 4
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box_raw)
-    ):
-        raise SchemaViolation(line_no, f"{path}.box", f"expected [x, y, w, h] numbers, got {box_raw!r}")
-    conf = _num(obj, "conf", line_no, path)
-    mask_raw = obj.get("mask_area")
-    mask_area: float | None = None
-    if mask_raw is not None:
-        mask_area = _num(obj, "mask_area", line_no, path)
-    try:
-        box = BoundingBox(float(box_raw[0]), float(box_raw[1]), float(box_raw[2]), float(box_raw[3]))
-    except ValueError as e:
-        raise SchemaViolation(line_no, f"{path}.box", str(e)) from None
-    try:
-        return InstanceDetection(label, box, conf, mask_area)
-    except ValueError as e:
-        raise SchemaViolation(line_no, path, str(e)) from None
+        raise _Invalid(".label", f"unknown label {label_text!r}")
+    box_raw = get("box")
+    if type(box_raw) is not list or len(box_raw) != 4:
+        raise _expected(".box", "[x, y, w, h] numbers", box_raw)
+    x, y, w, h = box_raw
+    if type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float:
+        try:
+            x, y, w, h = [_number(v, ".box") for v in box_raw]
+        except _Invalid:
+            raise _expected(".box", "[x, y, w, h] numbers", box_raw) from None
+    conf = get("conf")
+    if type(conf) is not float:
+        conf = _number(conf, ".conf")
+    mask_area = get("mask_area")
+    if mask_area is not None and type(mask_area) is not float:
+        mask_area = _number(mask_area, ".mask_area")
+    error = _box_error(x, y, w, h)
+    if error is not None:
+        raise _Invalid(".box", error)
+    box = _new_box(x, y, w, h)
+    error = _detection_error(conf, mask_area, box)
+    if error is not None:
+        raise _Invalid("", error)
+    return _new_detection(label, box, conf, mask_area)
 
 
-def _parse_keypoint(obj: object, line_no: int, path: str) -> PoseKeypoint:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(line_no, path, f"expected an object, got {obj!r}")
-    name = _text(obj, "name", line_no, path)
-    x = _num(obj, "x", line_no, path)
-    y = _num(obj, "y", line_no, path)
-    conf = _num(obj, "conf", line_no, path)
-    try:
-        return PoseKeypoint(name, x, y, conf)
-    except ValueError as e:
-        raise SchemaViolation(line_no, path, str(e)) from None
+def _keypoint(obj: object) -> PoseKeypoint:
+    if type(obj) is not dict:
+        raise _expected("", "an object", obj)
+    get = obj.get
+    name = get("name")
+    if type(name) is not str:
+        raise _expected(".name", "a string", name)
+    x = get("x")
+    if type(x) is not float:
+        x = _number(x, ".x")
+    y = get("y")
+    if type(y) is not float:
+        y = _number(y, ".y")
+    conf = get("conf")
+    if type(conf) is not float:
+        conf = _number(conf, ".conf")
+    error = _keypoint_error(name, x, y, conf)
+    if error is not None:
+        raise _Invalid("", error)
+    return _new_keypoint(name, x, y, conf)
+
+
+def _scores(obj: object) -> ClassScores:
+    if type(obj) is not dict:
+        raise _expected("$.scores", "an object", obj)
+    get = obj.get
+    threat = get("threat")
+    if type(threat) is not float:
+        threat = _number(threat, "$.scores.threat")
+    no_threat = get("no_threat")
+    if type(no_threat) is not float:
+        no_threat = _number(no_threat, "$.scores.no_threat")
+    hand = get("hand")
+    if type(hand) is not float:
+        hand = _number(hand, "$.scores.hand")
+    error = _scores_error(threat, no_threat, hand)
+    if error is not None:
+        raise _Invalid("$.scores", error)
+    return _new_scores(threat, no_threat, hand)
+
+
+def _frame_record(obj: dict) -> FrameRecord:
+    get = obj.get
+    stream_id = get("stream_id")
+    if type(stream_id) is not str:
+        raise _expected("$.stream_id", "a string", stream_id)
+    frame_id = get("frame_id")
+    if type(frame_id) is not int:
+        raise _expected("$.frame_id", "an integer", frame_id)
+    ts_ms = get("ts_ms")
+    if type(ts_ms) is not int:
+        raise _expected("$.ts_ms", "an integer", ts_ms)
+    scores = get("scores")
+    if scores is not None:
+        scores = _scores(scores)
+    detections = get("detections")
+    detections = () if detections is None else _array(detections, _detection, "$.detections")
+    keypoints = get("keypoints")
+    keypoints = () if keypoints is None else _array(keypoints, _keypoint, "$.keypoints")
+    error = _record_error(stream_id, frame_id, ts_ms)
+    if error is not None:
+        raise _Invalid("$", error)
+    return _new_record(stream_id, frame_id, ts_ms, scores, detections, keypoints)
 
 
 def parse_frame_record(line: str, line_no: int = 0) -> FrameRecord:
@@ -331,55 +503,9 @@ def parse_frame_record(line: str, line_no: int = 0) -> FrameRecord:
     line_no is carried into any error for diagnostics; pass the 1-based line
     number when reading a file. Raises MalformedJson when the line is not a
     JSON object, SchemaViolation when a required field is missing, a value is
-    out of range, or an enum value is unknown.
+    out of range, or an enum value is unknown; never anything else.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise MalformedJson(line_no, str(e)) from None
-    if not isinstance(obj, dict):
-        raise MalformedJson(line_no, f"expected a JSON object, got {type(obj).__name__}")
-
-    stream_id = _text(obj, "stream_id", line_no, "$")
-    frame_id = _uint(obj, "frame_id", line_no, "$")
-    ts_ms = _uint(obj, "ts_ms", line_no, "$")
-
-    scores: ClassScores | None = None
-    scores_raw = obj.get("scores")
-    if scores_raw is not None:
-        if not isinstance(scores_raw, dict):
-            raise SchemaViolation(line_no, "$.scores", f"expected an object, got {scores_raw!r}")
-        try:
-            scores = ClassScores(
-                _num(scores_raw, "threat", line_no, "$.scores"),
-                _num(scores_raw, "no_threat", line_no, "$.scores"),
-                _num(scores_raw, "hand", line_no, "$.scores"),
-            )
-        except ValueError as e:
-            raise SchemaViolation(line_no, "$.scores", str(e)) from None
-
-    detections_raw = obj.get("detections")
-    detections: tuple[InstanceDetection, ...] = ()
-    if detections_raw is not None:
-        if not isinstance(detections_raw, list):
-            raise SchemaViolation(line_no, "$.detections", f"expected an array, got {detections_raw!r}")
-        detections = tuple(
-            _parse_detection(d, line_no, f"$.detections[{i}]") for i, d in enumerate(detections_raw)
-        )
-
-    keypoints_raw = obj.get("keypoints")
-    keypoints: tuple[PoseKeypoint, ...] = ()
-    if keypoints_raw is not None:
-        if not isinstance(keypoints_raw, list):
-            raise SchemaViolation(line_no, "$.keypoints", f"expected an array, got {keypoints_raw!r}")
-        keypoints = tuple(
-            _parse_keypoint(k, line_no, f"$.keypoints[{i}]") for i, k in enumerate(keypoints_raw)
-        )
-
-    try:
-        return FrameRecord(stream_id, frame_id, ts_ms, scores, detections, keypoints)
-    except ValueError as e:
-        raise SchemaViolation(line_no, "$", str(e)) from None
+    return _parse_line(line, line_no, _frame_record)
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:
@@ -416,22 +542,24 @@ def serialize_frame_record(record: FrameRecord) -> str:
     return json.dumps(frame_record_to_dict(record), separators=(",", ":"))
 
 
-def parse_manifest_entry(line: str, line_no: int = 0) -> ManifestEntry:
-    """Parse one manifest JSONL line."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise MalformedJson(line_no, str(e)) from None
-    if not isinstance(obj, dict):
-        raise MalformedJson(line_no, f"expected a JSON object, got {type(obj).__name__}")
-    sample_id = _text(obj, "sample_id", line_no, "$")
+def _manifest_entry(obj: dict) -> ManifestEntry:
+    sample_id = obj.get("sample_id")
+    if type(sample_id) is not str:
+        raise _expected("$.sample_id", "a string", sample_id)
     if not sample_id:
-        raise SchemaViolation(line_no, "$.sample_id", "must be non-empty")
-    label_text = _text(obj, "label", line_no, "$")
+        raise _Invalid("$.sample_id", "must be non-empty")
+    label_text = obj.get("label")
+    if type(label_text) is not str:
+        raise _expected("$.label", "a string", label_text)
     label = _MANIFEST_LABELS.get(label_text)
     if label is None:
-        raise SchemaViolation(line_no, "$.label", f"unknown label {label_text!r}")
+        raise _Invalid("$.label", f"unknown label {label_text!r}")
     return ManifestEntry(sample_id, label)
+
+
+def parse_manifest_entry(line: str, line_no: int = 0) -> ManifestEntry:
+    """Parse one manifest JSONL line."""
+    return _parse_line(line, line_no, _manifest_entry)
 
 
 def read_manifest(lines: Iterable[str]) -> list[ManifestEntry]:

@@ -19,10 +19,10 @@ stateless; frames can be assessed in parallel in any order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .frames import BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label, PoseKeypoint
 
@@ -322,17 +322,16 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
     return ThreatAssessment(record.stream_id, record.frame_id, level, score, tuple(evidence))
 
 
-def assessment_to_dict(assessment: ThreatAssessment) -> dict:
-    return {
-        "stream_id": assessment.stream_id,
-        "frame_id": assessment.frame_id,
-        "level": assessment.level.wire,
-        "score": assessment.score,
-        "evidence": list(assessment.evidence),
-    }
+_LEVEL_JSON = {level: _json_str(level.wire) for level in ThreatLevel}
 
 
 def serialize_assessment(assessment: ThreatAssessment) -> str:
-    """One compact JSON line (no trailing newline)."""
-    return json.dumps(assessment_to_dict(assessment), separators=(",", ":"))
-
+    """One compact JSON line (no trailing newline), byte for byte what
+    json.dumps gives for the record with separators (",", ":"): strings
+    ASCII-escaped as json.dumps does by default, the score as float repr
+    (always finite, since it lies inside its level's band)."""
+    return (
+        f'{{"stream_id":{_json_str(assessment.stream_id)},"frame_id":{assessment.frame_id},'
+        f'"level":{_LEVEL_JSON[assessment.level]},"score":{float.__repr__(assessment.score)},'
+        f'"evidence":[{",".join(map(_json_str, assessment.evidence))}]}}'
+    )

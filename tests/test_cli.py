@@ -137,6 +137,20 @@ def test_score_skips_bad_lines_by_default(tmp_path, capsys):
     assert match.group(2) == "1"
 
 
+@pytest.mark.parametrize("bad", [
+    '{"stream_id":"c","frame_id":2,"ts_ms":33,"scores":{"threat":1' + "0" * 400 + ',"no_threat":0,"hand":0}}',
+    '{"stream_id":"c","frame_id":' + "7" * 5000 + ',"ts_ms":33}',
+    "[" * 200_000,
+], ids=["number_beyond_float", "integer_beyond_digit_limit", "nesting_beyond_recursion_limit"])
+def test_hostile_line_is_skipped_not_fatal(tmp_path, capsys, bad):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n' + bad + '\n{"stream_id":"c","frame_id":3,"ts_ms":66}\n')
+    assert main(["score", "--input", str(frames), "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
+    assert main(["watch", "--input", str(frames), "--alerts", str(tmp_path / "alerts.jsonl")]) == 0
+    assert WATCH_SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
+
+
 def test_score_strict_aborts_on_bad_line(tmp_path, capsys):
     frames = tmp_path / "frames.jsonl"
     frames.write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n{broken\n')

@@ -2,9 +2,10 @@
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from threatwatch.frames import (
     BoundingBox,
@@ -176,6 +177,13 @@ def test_manifest_entry_parse():
         parse_manifest_entry('{"sample_id":"img-1","label":"weapon"}')
 
 
+def test_manifest_hostile_line_is_malformed_json():
+    with pytest.raises(MalformedJson):
+        parse_manifest_entry('{"sample_id":' + "7" * 5000 + ',"label":"threat"}')
+    with pytest.raises(MalformedJson):
+        parse_manifest_entry("{" * 200_000)
+
+
 def test_read_manifest_line_numbers_and_blanks():
     lines = ['{"sample_id":"a","label":"hand"}', "", '{"sample_id":"b","label":"no_threat"}']
     entries = read_manifest(lines)
@@ -218,3 +226,328 @@ def test_frame_record_field_validation():
         FrameRecord("s", -1, 0)
     with pytest.raises(ValueError):
         FrameRecord("s", 2**64, 0)
+
+
+# One malformed line per rejection on the parse path, with the full error
+# text: (name, line, error type, str(error)) for line number 4. Recorded
+# from the parser before it validated each field once, so the table pins
+# both the messages and the order in which a line's faults are checked.
+PARSE_ERRORS = [
+    ('not JSON',
+     '{not json',
+     MalformedJson, 'line 4: malformed JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    ('trailing data',
+     '{"stream_id":"c"} x',
+     MalformedJson, 'line 4: malformed JSON: Extra data: line 1 column 19 (char 18)'),
+    ('not an object',
+     '[1, 2]',
+     MalformedJson, 'line 4: malformed JSON: expected a JSON object, got list'),
+    ('stream_id missing',
+     '{"frame_id":1,"ts_ms":0}',
+     SchemaViolation, 'line 4: $.stream_id: expected a string, got None'),
+    ('stream_id type',
+     '{"stream_id":7,"frame_id":1,"ts_ms":0}',
+     SchemaViolation, 'line 4: $.stream_id: expected a string, got 7'),
+    ('frame_id type',
+     '{"stream_id":"c","frame_id":"1","ts_ms":0}',
+     SchemaViolation, "line 4: $.frame_id: expected an integer, got '1'"),
+    ('frame_id float',
+     '{"stream_id":"c","frame_id":1.0,"ts_ms":0}',
+     SchemaViolation, 'line 4: $.frame_id: expected an integer, got 1.0'),
+    ('frame_id bool',
+     '{"stream_id":"c","frame_id":true,"ts_ms":0}',
+     SchemaViolation, 'line 4: $.frame_id: expected an integer, got True'),
+    ('ts_ms missing',
+     '{"stream_id":"c","frame_id":1}',
+     SchemaViolation, 'line 4: $.ts_ms: expected an integer, got None'),
+    ('scores object',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":[0.9,0.05,0.05]}',
+     SchemaViolation, 'line 4: $.scores: expected an object, got [0.9, 0.05, 0.05]'),
+    ('scores.threat type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":"0.9","no_threat":0.05,"hand":0.05}}',
+     SchemaViolation, "line 4: $.scores.threat: expected a number, got '0.9'"),
+    ('scores.no_threat missing',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":0.9,"hand":0.05}}',
+     SchemaViolation, 'line 4: $.scores.no_threat: expected a number, got None'),
+    ('scores.hand type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":0.9,"no_threat":0.05,"hand":false}}',
+     SchemaViolation, 'line 4: $.scores.hand: expected a number, got False'),
+    ('scores range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":1.5,"no_threat":-0.25,"hand":-0.25}}',
+     SchemaViolation, 'line 4: $.scores: threat must be within [0, 1], got 1.5'),
+    ('scores NaN',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":0.5,"no_threat":NaN,"hand":0.5}}',
+     SchemaViolation, 'line 4: $.scores: no_threat must be within [0, 1], got nan'),
+    ('scores sum',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":0.5,"no_threat":0.6,"hand":0.2}}',
+     SchemaViolation, 'line 4: $.scores: scores must sum to 1 within 1e-06, got 1.3'),
+    ('detections array',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":{"label":"knife"}}',
+     SchemaViolation, "line 4: $.detections: expected an array, got {'label': 'knife'}"),
+    ('detection object',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":["knife"]}',
+     SchemaViolation, "line 4: $.detections[0]: expected an object, got 'knife'"),
+    ('label type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"box":[0.4,0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].label: expected a string, got None'),
+    ('unknown label',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"sword","box":[0.4,0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, "line 4: $.detections[0].label: unknown label 'sword'"),
+    ('box length',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: expected [x, y, w, h] numbers, got [0.4, 0.5, 0.1]'),
+    ('box not a list',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":"0.4,0.5,0.1,0.2","conf":0.9}]}',
+     SchemaViolation, "line 4: $.detections[0].box: expected [x, y, w, h] numbers, got '0.4,0.5,0.1,0.2'"),
+    ('box element type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,true,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: expected [x, y, w, h] numbers, got [0.4, 0.5, True, 0.2]'),
+    ('box x range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[1.5,0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: x must be within [0, 1], got 1.5'),
+    ('box y range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,-0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: y must be within [0, 1], got -0.5'),
+    ('box w range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: w must be within (0, 1], got 0.0'),
+    ('box h range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,1.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: h must be within (0, 1], got 1.2'),
+    ('box right edge',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.95,0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: box exceeds right edge: x + w = 1.05'),
+    ('box bottom edge',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.9,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, 'line 4: $.detections[0].box: box exceeds bottom edge: y + h = 1.1'),
+    ('conf type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":"high"}]}',
+     SchemaViolation, "line 4: $.detections[0].conf: expected a number, got 'high'"),
+    ('conf range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":1.5}]}',
+     SchemaViolation, 'line 4: $.detections[0]: conf must be within [0, 1], got 1.5'),
+    ('mask_area type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":0.9,"mask_area":"big"}]}',
+     SchemaViolation, "line 4: $.detections[0].mask_area: expected a number, got 'big'"),
+    ('mask_area range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":0.9,"mask_area":0}]}',
+     SchemaViolation, 'line 4: $.detections[0]: mask_area must be within (0, 1], got 0.0'),
+    ('mask larger than box',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":0.9,"mask_area":0.05}]}',
+     SchemaViolation, 'line 4: $.detections[0]: mask_area 0.05 exceeds box area 0.020000000000000004'),
+    ('second detection index',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":0.9},{"label":"hand","box":[0.4,0.5,0.1,0.2],"conf":-1}]}',
+     SchemaViolation, 'line 4: $.detections[1]: conf must be within [0, 1], got -1.0'),
+    ('keypoints array',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":"wrist"}',
+     SchemaViolation, "line 4: $.keypoints: expected an array, got 'wrist'"),
+    ('keypoint object',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[[0.5,0.5]]}',
+     SchemaViolation, 'line 4: $.keypoints[0]: expected an object, got [0.5, 0.5]'),
+    ('keypoint name type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":3,"x":0.5,"y":0.5,"conf":0.8}]}',
+     SchemaViolation, 'line 4: $.keypoints[0].name: expected a string, got 3'),
+    ('keypoint x type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":"0.5","y":0.5,"conf":0.8}]}',
+     SchemaViolation, "line 4: $.keypoints[0].x: expected a number, got '0.5'"),
+    ('keypoint y missing',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":0.5,"conf":0.8}]}',
+     SchemaViolation, 'line 4: $.keypoints[0].y: expected a number, got None'),
+    ('keypoint conf type',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":0.5,"y":0.5,"conf":null}]}',
+     SchemaViolation, 'line 4: $.keypoints[0].conf: expected a number, got None'),
+    ('keypoint x range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":1.01,"y":0.5,"conf":0.8}]}',
+     SchemaViolation, 'line 4: $.keypoints[0]: x must be within [0, 1], got 1.01'),
+    ('keypoint y range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":0.5,"y":-Infinity,"conf":0.8}]}',
+     SchemaViolation, 'line 4: $.keypoints[0]: y must be within [0, 1], got -inf'),
+    ('keypoint conf range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"wrist","x":0.5,"y":0.5,"conf":2}]}',
+     SchemaViolation, 'line 4: $.keypoints[0]: conf must be within [0, 1], got 2.0'),
+    ('keypoint empty name',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"","x":0.5,"y":0.5,"conf":0.8}]}',
+     SchemaViolation, 'line 4: $.keypoints[0]: name must be non-empty'),
+    ('empty stream_id',
+     '{"stream_id":"","frame_id":1,"ts_ms":0}',
+     SchemaViolation, 'line 4: $: stream_id must be non-empty'),
+    ('frame_id above uint64',
+     '{"stream_id":"c","frame_id":18446744073709551616,"ts_ms":0}',
+     SchemaViolation, 'line 4: $: frame_id must be a uint64, got 18446744073709551616'),
+    ('frame_id negative',
+     '{"stream_id":"c","frame_id":-1,"ts_ms":0}',
+     SchemaViolation, 'line 4: $: frame_id must be a uint64, got -1'),
+    ('ts_ms above uint64',
+     '{"stream_id":"c","frame_id":1,"ts_ms":18446744073709551616}',
+     SchemaViolation, 'line 4: $: ts_ms must be a uint64, got 18446744073709551616'),
+    ('order: detection before empty stream_id',
+     '{"stream_id":"","frame_id":1,"ts_ms":0,"detections":[{"label":"fork","box":[0.4,0.5,0.1,0.2],"conf":0.9}]}',
+     SchemaViolation, "line 4: $.detections[0].label: unknown label 'fork'"),
+    ('order: detections before keypoints and ids',
+     '{"stream_id":"c","frame_id":-1,"ts_ms":0,"keypoints":[{"name":"wrist","x":0.5,"y":0.5,"conf":0.8}],"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":7}]}',
+     SchemaViolation, 'line 4: $.detections[0]: conf must be within [0, 1], got 7.0'),
+    ('order: scores before detections',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":2,"no_threat":0,"hand":0},"detections":7}',
+     SchemaViolation, 'line 4: $.scores: threat must be within [0, 1], got 2.0'),
+    ('order: conf type before box range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[1.5,0.5,0.1,0.2],"conf":"x"}]}',
+     SchemaViolation, "line 4: $.detections[0].conf: expected a number, got 'x'"),
+    ('order: mask_area type before box range',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[1.5,0.5,0.1,0.2],"conf":0.9,"mask_area":[]}]}',
+     SchemaViolation, 'line 4: $.detections[0].mask_area: expected a number, got []'),
+    ('order: conf range before mask',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":1.5,"mask_area":0.05}]}',
+     SchemaViolation, 'line 4: $.detections[0]: conf must be within [0, 1], got 1.5'),
+    ('order: keypoint types before empty name',
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"keypoints":[{"name":"","x":"a","y":0.5,"conf":0.8}]}',
+     SchemaViolation, "line 4: $.keypoints[0].x: expected a number, got 'a'"),
+]
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS, ids=[c[0] for c in PARSE_ERRORS])
+def test_parse_error_messages(case):
+    _, line, error, message = case
+    with pytest.raises(error) as exc_info:
+        parse_frame_record(line, line_no=4)
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
+
+
+# Lines that once escaped the parser as OverflowError, a bare ValueError
+# and RecursionError, aborting a whole run. Each is one bad line.
+HUGE = "1" + "0" * 400
+HOSTILE_LINES = [
+    ("number_beyond_float",
+     '{"stream_id":"c","frame_id":1,"ts_ms":0,"scores":{"threat":' + HUGE + ',"no_threat":0,"hand":0}}',
+     SchemaViolation, f"line 4: $.scores: threat must be within [0, 1], got {HUGE}"),
+    ("integer_beyond_digit_limit",
+     '{"stream_id":"c","frame_id":' + "7" * 5000 + ',"ts_ms":0}',
+     MalformedJson, "line 4: malformed JSON: Exceeds the limit (4300 digits) for integer string "
+                    "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("nesting_beyond_recursion_limit",
+     "[" * 200_000,
+     MalformedJson, "line 4: malformed JSON: maximum recursion depth exceeded while decoding a JSON "
+                    "array from a unicode string"),
+]
+
+
+@pytest.mark.parametrize("case", HOSTILE_LINES, ids=[c[0] for c in HOSTILE_LINES])
+def test_hostile_line_is_a_parse_error(case):
+    _, line, error, message = case
+    with pytest.raises(error) as exc_info:
+        parse_frame_record(line, line_no=4)
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("field", ["box", "conf", "mask_area"])
+def test_number_beyond_float_in_a_detection(field):
+    det = {"label": "knife", "box": [0.4, 0.5, 0.1, 0.2], "conf": 0.9}
+    if field == "box":
+        det["box"] = [0.4, 0.5, 0.1, 10**400]
+    else:
+        det[field] = -10**400
+    line = json.dumps({"stream_id": "c", "frame_id": 1, "ts_ms": 0, "detections": [det]})
+    with pytest.raises(SchemaViolation) as exc_info:
+        parse_frame_record(line)
+    assert exc_info.value.path == ("$.detections[0].box" if field == "box" else "$.detections[0]")
+
+
+# Hypothesis fuzz: valid wire records, then keys dropped and values
+# replaced by wrong types, NaN, infinities, huge integers, bools and nested
+# containers, anywhere in the record.
+
+_unit = st.floats(0.0, 1.0)
+_name = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _wire_scores(draw):
+    a, b = sorted((draw(_unit), draw(_unit)))
+    return {"threat": a, "no_threat": b - a, "hand": 1.0 - b}
+
+
+@st.composite
+def _wire_detection(draw):
+    x, y = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 0.9))
+    w, h = draw(st.floats(0.01, 1.0 - x)), draw(st.floats(0.01, 1.0 - y))
+    det = {"label": draw(st.sampled_from(["hand", "knife"])), "box": [x, y, w, h], "conf": draw(_unit)}
+    if draw(st.booleans()):
+        det["mask_area"] = w * h * draw(st.floats(0.01, 1.0))
+    return det
+
+
+_wire_keypoint = st.fixed_dictionaries({"name": _name, "x": _unit, "y": _unit, "conf": _unit})
+
+_wire_record = st.fixed_dictionaries(
+    {"stream_id": _name, "frame_id": st.integers(0, 2**64 - 1), "ts_ms": st.integers(0, 2**64 - 1)},
+    optional={
+        "scores": _wire_scores(),
+        "detections": st.lists(_wire_detection(), max_size=3),
+        "keypoints": st.lists(_wire_keypoint, max_size=3),
+    },
+)
+
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.integers(2**63, 2**1100),
+    st.sampled_from([10**400, -10**400, 2**64, -1]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+)
+_hostile = _scalar | st.recursive(
+    _scalar, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(value, out):
+    """Every (container, key) slot in a JSON tree, outermost first."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            out.append((value, key))
+            _slots(child, out)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            out.append((value, i))
+            _slots(child, out)
+    return out
+
+
+def _public_record(obj):
+    """The record the public constructors build from a parsed JSON object."""
+    scores = obj.get("scores")
+    return FrameRecord(
+        obj["stream_id"], obj["frame_id"], obj["ts_ms"],
+        None if scores is None else ClassScores(float(scores["threat"]), float(scores["no_threat"]), float(scores["hand"])),
+        tuple(
+            InstanceDetection(Label(d["label"]), BoundingBox(*map(float, d["box"])), float(d["conf"]),
+                              None if d.get("mask_area") is None else float(d["mask_area"]))
+            for d in obj.get("detections") or ()
+        ),
+        tuple(PoseKeypoint(k["name"], float(k["x"]), float(k["y"]), float(k["conf"]))
+              for k in obj.get("keypoints") or ()),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=_wire_record, data=st.data())
+def test_parse_fuzz_mutated_records(record, data):
+    for _ in range(data.draw(st.sampled_from([0, 1, 2, 3]))):
+        slots = _slots(record, [])
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(_hostile)
+    line = json.dumps(record)
+    try:
+        parsed = parse_frame_record(line)
+    except (MalformedJson, SchemaViolation):
+        return
+    assert parsed == _public_record(json.loads(line))
+    with pytest.raises(FrozenInstanceError):
+        parsed.frame_id = 0
+    for part in (parsed.scores, *parsed.detections, *(d.box for d in parsed.detections), *parsed.keypoints):
+        if part is not None:
+            with pytest.raises(FrozenInstanceError):
+                setattr(part, type(part).__slots__[0], None)

@@ -11,7 +11,7 @@ line is a change in output, not a refactor.
 import pytest
 
 from threatwatch.frames import BoundingBox, ClassScores, FrameRecord, InstanceDetection, Label, PoseKeypoint
-from threatwatch.fusion import FusionConfig, assess_frame, serialize_assessment
+from threatwatch.fusion import FusionConfig, ThreatAssessment, ThreatLevel, assess_frame, serialize_assessment
 
 CFG = FusionConfig()
 
@@ -82,3 +82,28 @@ def test_golden_assessment_line(frame_id, case):
     record = FrameRecord("golden", frame_id, 33 * frame_id, scores=scores,
                          detections=tuple(detections), keypoints=tuple(keypoints))
     assert serialize_assessment(assess_frame(record, CFG)) == expected
+
+
+# (name, stream_id, frame_id, level, score, evidence, expected line): string
+# escaping and number formatting, recorded from json.dumps(...,
+# separators=(",", ":")), which serialize_assessment must match byte for
+# byte.
+ESCAPES = [
+    ("quote_backslash", 'cam "a"\\b', 2**64 - 1, ThreatLevel.NONE, 0.0, (),
+     '{"stream_id":"cam \\"a\\"\\\\b","frame_id":18446744073709551615,"level":"none","score":0.0,"evidence":[]}'),
+    ("control_chars", "cam\x01\t\n\x7f", 0, ThreatLevel.OBJECT_PRESENT, 0.4, ("knife:k0",),
+     '{"stream_id":"cam\\u0001\\t\\n\\u007f","frame_id":0,"level":"object_present","score":0.4,"evidence":["knife:k0"]}'),
+    ("latin1", "caméra", 7, ThreatLevel.GRASPED, 0.7929999999999999, ("pair:h0-k1", "pose:no_wrist"),
+     '{"stream_id":"cam\\u00e9ra","frame_id":7,"level":"grasped","score":0.7929999999999999,"evidence":["pair:h0-k1","pose:no_wrist"]}'),
+    ("non_bmp", "cam-\U0001F52A", 12, ThreatLevel.OVERHAND_THREAT, 1.0, ("pair:h0-k1:overhand",),
+     '{"stream_id":"cam-\\ud83d\\udd2a","frame_id":12,"level":"overhand_threat","score":1.0,"evidence":["pair:h0-k1:overhand"]}'),
+    ("lone_surrogate", "cam\ud800", 1, ThreatLevel.NONE, 0.0, (),
+     '{"stream_id":"cam\\ud800","frame_id":1,"level":"none","score":0.0,"evidence":[]}'),
+]
+
+
+@pytest.mark.parametrize("case", ESCAPES, ids=[c[0] for c in ESCAPES])
+def test_serialize_assessment_escaping(case):
+    _, stream_id, frame_id, level, score, evidence, expected = case
+    assessment = ThreatAssessment(stream_id, frame_id, level, score, evidence)
+    assert serialize_assessment(assessment) == expected
