@@ -6,7 +6,7 @@ is the only place the schemes are spelled out. Three ship here:
 
   * synthetic:<script.json>: a deterministic scenario generator covering
     the five canonical scenes, so the whole pipeline runs and is tested
-    without any ML runtime;
+    without any ML runtime ("-" reads the script from stdin);
   * jsonl:<path>: replay of pre-computed model outputs with validation
     ("-" reads stdin);
   * extern:<name>: hook for real-inference adapters registered at
@@ -16,10 +16,8 @@ is the only place the schemes are spelled out. Three ship here:
 
 from __future__ import annotations
 
-import json
 import logging
 import random
-import sys
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -33,10 +31,11 @@ from .frames import (
     Label,
     MalformedJson,
     PoseKeypoint,
-    SchemaViolation,
     _new_detection,
     _new_record,
     parse_frame_record,
+    read_json,
+    read_lines,
 )
 
 
@@ -128,11 +127,11 @@ def script_from_dict(data: dict) -> ScenarioScript:
 
 
 def load_script(path: str) -> ScenarioScript:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadScript(f"{path}: not valid JSON: {exc}") from None
+    """Read a script from its JSON file ("-" = stdin)."""
+    try:
+        data = read_json(path)
+    except MalformedJson as exc:
+        raise BadScript(f"{path}: not valid JSON: {exc.reason}") from None
     return script_from_dict(data)
 
 
@@ -238,26 +237,12 @@ class ReplayBackend(DetectorBackend):
         self.skipped = 0
 
     def frames(self) -> Iterator[FrameRecord]:
-        if self.path == "-":
-            fh = sys.stdin
-            close = False
-        else:
-            fh = open(self.path, encoding="utf-8")
-            close = True
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield parse_frame_record(line, line_no)
-                except (MalformedJson, SchemaViolation) as exc:
-                    if self.on_error == "raise":
-                        raise
-                    self.skipped += 1
-                    logger.warning("skipping bad frame line: %s", exc)
-        finally:
-            if close:
-                fh.close()
+        return read_lines(self.path, parse_frame_record,
+                          None if self.on_error == "raise" else self._skip)
+
+    def _skip(self, exc: ThreatwatchError) -> None:
+        self.skipped += 1
+        logger.warning("skipping bad frame line: %s", exc)
 
 
 _EXTERN_ADAPTERS: dict[str, Callable[[str], DetectorBackend]] = {}

@@ -25,7 +25,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, TextIO
 
 from .alerts import AlertKind, AlertTracker, TemporalConfig, serialize_alert_event
@@ -46,7 +46,8 @@ from .evaluation import (
     per_class_accuracy,
     render_report,
 )
-from .frames import FrameRecord, read_manifest, serialize_frame_record, validate_manifest
+from .frames import (FrameRecord, MalformedJson, read_json, read_lines, read_manifest,
+                     serialize_frame_record, validate_manifest)
 from .fusion import FusionConfig, assess_frame, serialize_assessment
 from .webhook import WebhookSink
 
@@ -101,8 +102,7 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
         raw = data["fusion"]
         if not isinstance(raw, dict):
             raise BadConfig("config.fusion must be an object")
-        _check_keys(raw, {"tau_det", "delta_assoc", "epsilon_vert", "tau_pose",
-                          "delta_wrist", "margin"}, "fusion")
+        _check_keys(raw, {f.name for f in fields(FusionConfig)}, "fusion")
         try:
             fusion = FusionConfig(**_numeric_fields(raw, "fusion"))
         except ValueError as exc:
@@ -113,7 +113,7 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
         raw = data["temporal"]
         if not isinstance(raw, dict):
             raise BadConfig("config.temporal must be an object")
-        _check_keys(raw, {"n_raise", "n_clear"}, "temporal")
+        _check_keys(raw, {f.name for f in fields(TemporalConfig)}, "temporal")
         try:
             temporal = TemporalConfig(**_numeric_fields(raw, "temporal", integer=True))
         except ValueError as exc:
@@ -137,24 +137,11 @@ def load_pipeline_config(path: str | None) -> PipelineConfig:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return PipelineConfig()
-    with _in_stream(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadConfig(f"config is not valid JSON: {exc}") from None
+    try:
+        data = read_json(path)
+    except MalformedJson as exc:
+        raise BadConfig(f"config is not valid JSON: {exc.reason}") from None
     return pipeline_config_from_dict(data)
-
-
-@contextlib.contextmanager
-def _in_stream(path: str) -> Iterator[TextIO]:
-    if path == "-":
-        yield sys.stdin
-    else:
-        fh = open(path, encoding="utf-8")
-        try:
-            yield fh
-        finally:
-            fh.close()
 
 
 @contextlib.contextmanager
@@ -189,9 +176,7 @@ def _input_frames(uri: str, on_error: str) -> Iterator[tuple[DetectorBackend, It
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with _in_stream(args.manifest) as fh:
-        entries = read_manifest(fh)
-    stats = validate_manifest(entries)
+    stats = validate_manifest(read_manifest(args.manifest))
     print(json.dumps(stats.to_dict(), indent=2))
     return 0
 
@@ -208,9 +193,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    with _in_stream(args.manifest) as fh:
-        entries = read_manifest(fh)
-    assignment = make_splits(entries, args.seed, args.ratios)
+    assignment = make_splits(read_manifest(args.manifest), args.seed, args.ratios)
     with _out_stream(args.out) as out:
         for sample_id in sorted(assignment.assignment):
             record = {"sample_id": sample_id,
@@ -287,14 +270,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.pred == "-" and args.labels == "-":
         raise ThreatwatchError("predictions and labels cannot both come from stdin")
-    with _in_stream(args.labels) as fh:
-        labels = read_manifest(fh)
-    predictions = []
-    with _in_stream(args.pred) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            predictions.append(parse_prediction(line, line_no))
+    labels = read_manifest(args.labels)
+    predictions = list(read_lines(args.pred, parse_prediction))
     matrix = confusion_matrix(predictions, labels)
     report = per_class_accuracy(matrix, sources=(args.labels, args.pred))
     with _out_stream(args.report) as out:
@@ -313,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 _INPUT_HELP = (f"frame source: a {'/'.join(s + ':' for s in SCHEMES)} URI; anything "
-               "else is a JSONL path ('-' = stdin)")
+               "else is a JSONL path; a path of '-' (also in synthetic:-) is stdin")
 
 
 def build_parser() -> argparse.ArgumentParser:

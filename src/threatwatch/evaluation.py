@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ThreatwatchError
-from .frames import (
-    MalformedJson,
-    ManifestEntry,
-    ManifestLabel,
-    SchemaViolation,
-    validate_manifest,
-)
+from .frames import ManifestEntry, ManifestLabel, _Invalid, _parse_line, validate_manifest
 
 
 class BadRatios(ThreatwatchError):
@@ -334,23 +328,21 @@ def report_from_json(text: str) -> EvalReport:
     )
 
 
+def _prediction(obj: dict) -> tuple[str, PredictedLabel]:
+    sample_id = obj.get("sample_id")
+    if not isinstance(sample_id, str) or not sample_id:
+        raise _Invalid("$.sample_id", "expected a non-empty string")
+    raw = obj.get("predicted")
+    if not isinstance(raw, str):
+        raise _Invalid("$.predicted", "expected a string")
+    predicted = _PREDICTED.get(raw)
+    if predicted is None:
+        raise _Invalid("$.predicted", f"unknown predicted label {raw!r}")
+    return sample_id, predicted
+
+
 def parse_prediction(line: str, line_no: int = 0) -> tuple[str, PredictedLabel]:
     """Parse one predictions-JSONL line: {"sample_id": ..., "predicted":
     "threat"|"no_threat"|"hand"|"indeterminate"}. Unknown fields are
     ignored; unknown predicted values are rejected."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(line_no, str(exc)) from None
-    if not isinstance(data, dict):
-        raise SchemaViolation(line_no, "$", "expected a JSON object")
-    sample_id = data.get("sample_id")
-    if not isinstance(sample_id, str) or not sample_id:
-        raise SchemaViolation(line_no, "$.sample_id", "expected a non-empty string")
-    raw = data.get("predicted")
-    if not isinstance(raw, str):
-        raise SchemaViolation(line_no, "$.predicted", "expected a string")
-    predicted = _PREDICTED.get(raw)
-    if predicted is None:
-        raise SchemaViolation(line_no, "$.predicted", f"unknown predicted label {raw!r}")
-    return sample_id, predicted
+    return _parse_line(line, line_no, _prediction)

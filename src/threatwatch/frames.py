@@ -23,6 +23,11 @@ failing loudly.
 Manifest wire format (JSONL): {"sample_id": "img_0001", "label": "threat"},
 with label one of "threat" | "no_threat" | "hand".
 
+Every outside input, frames, manifests, predictions, scripts and config,
+is read here: _open ("-" is stdin), one strict UTF-8 decode, then
+read_lines (a line loop over _parse_line) or read_json (one document).
+Lines end at LF; a line that is not UTF-8 or not JSON is MalformedJson.
+
 All types here are immutable value objects, and a value that exists is a
 valid one. The public constructors validate every invariant. The parser
 checks each JSON value's type and range once, then builds the records
@@ -33,10 +38,12 @@ both paths call. Parsing is stateless and reentrant.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ThreatwatchError
 
@@ -365,15 +372,57 @@ def _number(value: object, path: str) -> float | int:
     raise _expected(path, "a number", value)
 
 
-def _parse_line(line: str, line_no: int, build: Callable[[dict], _T]) -> _T:
-    """Decode one JSONL line into a JSON object and build a value from it.
-    Every fault surfaces as MalformedJson or SchemaViolation."""
+def _open(path: str) -> ContextManager[BinaryIO]:
+    """The bytes of an input; "-" is stdin, which stays open on exit."""
+    return contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+
+
+def _utf8(data: bytes, line_no: int) -> str:
     try:
-        obj = json.loads(line)
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise MalformedJson(line_no, str(e)) from None
+
+
+def _json(text: str, line_no: int) -> object:
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as e:
         # ValueError: JSONDecodeError, or an integer longer than the
         # interpreter's digit limit. RecursionError: nesting too deep.
         raise MalformedJson(line_no, str(e)) from None
+
+
+def read_json(path: str) -> object:
+    """The whole input at path ("-" = stdin) as one JSON value; MalformedJson
+    (line 0) when it is not UTF-8 or not JSON."""
+    with _open(path) as fh:
+        data = fh.read()
+    return _json(_utf8(data, 0), 0)
+
+
+def read_lines(path: str, parse: Callable[[str, int], _T],
+               on_bad: Callable[[ThreatwatchError], None] | None = None) -> Iterator[_T]:
+    """Yield parse(line, line_no) for each non-blank line at path ("-" =
+    stdin), lines numbered from 1. A line that is not UTF-8 or that parse
+    rejects raises, or is handed to on_bad when given. The input is opened
+    on the first next() and closed when the iterator ends or is closed."""
+    with _open(path) as fh:
+        for line_no, data in enumerate(fh, start=1):
+            try:
+                line = _utf8(data, line_no)
+                if line.strip():
+                    yield parse(line, line_no)
+            except (MalformedJson, SchemaViolation) as exc:
+                if on_bad is None:
+                    raise
+                on_bad(exc)
+
+
+def _parse_line(line: str, line_no: int, build: Callable[[dict], _T]) -> _T:
+    """Decode one JSONL line into a JSON object and build a value from it.
+    Every fault surfaces as MalformedJson or SchemaViolation."""
+    obj = _json(line, line_no)
     if type(obj) is not dict:
         raise MalformedJson(line_no, f"expected a JSON object, got {type(obj).__name__}")
     try:
@@ -562,13 +611,10 @@ def parse_manifest_entry(line: str, line_no: int = 0) -> ManifestEntry:
     return _parse_line(line, line_no, _manifest_entry)
 
 
-def read_manifest(lines: Iterable[str]) -> list[ManifestEntry]:
-    """Read manifest entries from an iterable of lines; blank lines are skipped."""
-    entries = []
-    for i, line in enumerate(lines, start=1):
-        if line.strip():
-            entries.append(parse_manifest_entry(line, i))
-    return entries
+def read_manifest(path: str) -> list[ManifestEntry]:
+    """Read the manifest entries at path ("-" = stdin); blank lines are
+    skipped, and the first bad line raises."""
+    return list(read_lines(path, parse_manifest_entry))
 
 
 def validate_manifest(entries: Iterable[ManifestEntry]) -> ManifestStats:

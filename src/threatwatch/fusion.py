@@ -20,7 +20,7 @@ stateless; frames can be assessed in parallel in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -90,10 +90,10 @@ class FusionConfig:
     margin: float = 0.10
 
     def __post_init__(self) -> None:
-        for name in ("tau_det", "delta_assoc", "epsilon_vert", "tau_pose", "delta_wrist", "margin"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be within [0, 1], got {v}")
+                raise ValueError(f"{f.name} must be within [0, 1], got {v}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,14 +9,13 @@ rather than stalling ingest.
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import threading
 import urllib.error
 import urllib.request
 
-from .alerts import AlertEvent, alert_event_to_dict
+from .alerts import AlertEvent, serialize_alert_event
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +66,7 @@ class WebhookSink:
             item = self._queue.get()
             if item is _STOP:
                 return
-            body = json.dumps(alert_event_to_dict(item), separators=(",", ":")).encode()
+            body = serialize_alert_event(item).encode()
             ok = self._post(body)
             if not ok:
                 ok = self._post(body)

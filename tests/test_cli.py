@@ -9,7 +9,6 @@ import sys
 
 import pytest
 
-from threatwatch import backends
 from threatwatch.cli import main
 from threatwatch.evaluation import Split, make_splits
 from threatwatch.frames import ManifestEntry, ManifestLabel, serialize_frame_record
@@ -119,7 +118,7 @@ def test_score_file_to_file(tmp_path, capsys):
 
 def test_score_stdin_stdout(tmp_path, capsys, monkeypatch):
     record = '{"stream_id":"c","frame_id":1,"ts_ms":0,"detections":[{"label":"knife","box":[0.4,0.5,0.1,0.2],"conf":0.93}]}'
-    monkeypatch.setattr(sys, "stdin", io.StringIO(record + "\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(record.encode() + b"\n")))
     assert main(["score", "--input", "-", "--out", "-"]) == 0
     captured = capsys.readouterr()
     row = json.loads(captured.out)
@@ -137,18 +136,50 @@ def test_score_skips_bad_lines_by_default(tmp_path, capsys):
     assert match.group(2) == "1"
 
 
-@pytest.mark.parametrize("bad", [
-    '{"stream_id":"c","frame_id":2,"ts_ms":33,"scores":{"threat":1' + "0" * 400 + ',"no_threat":0,"hand":0}}',
-    '{"stream_id":"c","frame_id":' + "7" * 5000 + ',"ts_ms":33}',
-    "[" * 200_000,
-], ids=["number_beyond_float", "integer_beyond_digit_limit", "nesting_beyond_recursion_limit"])
-def test_hostile_line_is_skipped_not_fatal(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, strict_error", [
+    (b'{"stream_id":"c","frame_id":2,"ts_ms":33,"scores":{"threat":1' + b"0" * 400 + b',"no_threat":0,"hand":0}}',
+     "line 2: $.scores: threat must be within"),
+    (b'{"stream_id":"c","frame_id":' + b"7" * 5000 + b',"ts_ms":33}', "line 2: malformed JSON: "),
+    (b"[" * 200_000, "line 2: malformed JSON: "),
+    (b'{"stream_id":"c\xff","frame_id":2,"ts_ms":33}', "line 2: malformed JSON: "),
+], ids=["number_beyond_float", "integer_beyond_digit_limit", "nesting_beyond_recursion_limit",
+        "byte_not_utf8"])
+def test_hostile_line_is_skipped_not_fatal(tmp_path, capsys, monkeypatch, bad, strict_error):
+    data = b'{"stream_id":"c","frame_id":1,"ts_ms":0}\n' + bad + b'\n{"stream_id":"c","frame_id":3,"ts_ms":66}\n'
     frames = tmp_path / "frames.jsonl"
-    frames.write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n' + bad + '\n{"stream_id":"c","frame_id":3,"ts_ms":66}\n')
-    assert main(["score", "--input", str(frames), "--out", str(tmp_path / "out.jsonl")]) == 0
-    assert SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
-    assert main(["watch", "--input", str(frames), "--alerts", str(tmp_path / "alerts.jsonl")]) == 0
-    assert WATCH_SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
+    frames.write_bytes(data)
+    outputs = []
+    for source in (str(frames), "-"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["score", "--input", source, "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["watch", "--input", source, "--alerts", str(tmp_path / "alerts.jsonl")]) == 0
+        assert WATCH_SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == ("2", "1")
+        outputs.append(((tmp_path / "out.jsonl").read_bytes(), (tmp_path / "alerts.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert main(["score", "--input", str(frames), "--out", str(tmp_path / "out.jsonl"), "--strict"]) == 1
+    assert f"error: {strict_error}" in capsys.readouterr().err
+
+
+def test_crlf_frames_score_like_lf(tmp_path, capsys):
+    records = list(synthesize(ScenarioScript(
+        (Segment(Scene.KNIFE_OVERHAND, 3), Segment(Scene.HAND_ONLY, 2)), seed=5)))
+    lf = "".join(serialize_frame_record(r) + "\n" for r in records)
+    outputs = []
+    for name, text in (("lf", lf), ("crlf", lf.replace("\n", "\r\n"))):
+        frames = tmp_path / f"{name}.jsonl"
+        frames.write_bytes(text.encode())
+        out = tmp_path / f"{name}.out"
+        assert main(["score", "--input", str(frames), "--out", str(out), "--strict"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != b""
+    capsys.readouterr()
+    # a lone CR ends no line: the two records below are one malformed line
+    frames = tmp_path / "cr.jsonl"
+    frames.write_bytes(lf.replace("\n", "\r", 1).encode())
+    assert main(["score", "--input", str(frames), "--out", str(tmp_path / "cr.out")]) == 0
+    assert SUMMARY_RE.search(capsys.readouterr().err).group(1, 2) == (str(len(records) - 2), "1")
 
 
 def test_score_strict_aborts_on_bad_line(tmp_path, capsys):
@@ -189,7 +220,7 @@ def test_unwritable_out_exits_2_and_closes_input(tmp_path, capsys, monkeypatch):
         opened.append(fh)
         return fh
 
-    monkeypatch.setattr(backends, "open", recording_open, raising=False)
+    monkeypatch.setattr("threatwatch.frames.open", recording_open, raising=False)
     # a directory cannot be opened for writing, whatever the permissions
     assert main(["score", "--input", str(frames), "--out", str(tmp_path)]) == 2
     assert opened
@@ -290,6 +321,66 @@ def test_eval_unknown_sample_exits_1(tmp_path, capsys):
     preds.write_text('{"sample_id":"zz","predicted":"threat"}\n')
     assert main(["eval", "--pred", str(preds), "--labels", str(labels)]) == 1
     assert "zz" in capsys.readouterr().err
+
+
+HOSTILE_DOCUMENTS = [
+    b'{"segments": [{"scene": "empty", "duration_frames": ' + b"7" * 5000 + b"}]}",
+    b"[" * 200_000,
+    b'{"segments": [{"scene": "empty", "duration_frames": 1}], "stream_id": "\xff"}',
+]
+HOSTILE_IDS = ["integer_beyond_digit_limit", "nesting_beyond_recursion_limit", "byte_not_utf8"]
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("bad", [b'{"sample_id":"a","predicted":' + b"7" * 5000 + b"}",
+                                 b"[" * 200_000,
+                                 b'{"sample_id":"\xff","predicted":"threat"}'], ids=HOSTILE_IDS)
+def test_eval_hostile_prediction_is_malformed_json(tmp_path, capsys, bad):
+    labels = tmp_path / "labels.jsonl"
+    write_manifest(labels, [("a", "threat")])
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(bad + b"\n")
+    assert main(["eval", "--pred", str(preds), "--labels", str(labels)]) == 1
+    [line] = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: line 1: malformed JSON: ")
+
+
+def test_validate_undecodable_manifest_is_malformed_json(tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes(b'{"sample_id":"\xff","label":"threat"}\n')
+    assert main(["validate", "--manifest", str(labels)]) == 1
+    [line] = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: line 1: malformed JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("bad", HOSTILE_DOCUMENTS, ids=HOSTILE_IDS)
+def test_hostile_script_and_config_are_not_valid_json(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_bytes(bad)
+    assert main(["simulate", "--scenario", str(path), "--out", "-"]) == 1
+    [line] = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: not valid JSON: ")
+    script = tmp_path / "s.json"
+    write_script(script, [("empty", 1, 0.0)])
+    assert main(["score", "--input", f"synthetic:{script}", "--config", str(path), "--out", "-"]) == 1
+    [line] = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: config is not valid JSON: ")
+
+
+def test_script_from_stdin(tmp_path, capsys, monkeypatch):
+    script = tmp_path / "s.json"
+    write_script(script, [("knife_grasped", 2, 0.02)], seed=4)
+    for by_path, by_stdin in ((["simulate", "--scenario", str(script)], ["simulate", "--scenario", "-"]),
+                              (["score", "--input", f"synthetic:{script}"], ["score", "--input", "synthetic:-"])):
+        outputs = []
+        for argv in (by_path, by_stdin):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(script.read_bytes())))
+            assert main(argv + ["--out", "-"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
 
 
 def test_simulate_deterministic_and_seed_override(tmp_path):

@@ -271,8 +271,10 @@ def test_parse_prediction_lines():
     sid, pred = parse_prediction('{"sample_id":"img9","predicted":"indeterminate"}', 4)
     assert sid == "img9"
     assert pred is PredictedLabel.INDETERMINATE
-    from threatwatch.frames import SchemaViolation
+    from threatwatch.frames import MalformedJson, SchemaViolation
     with pytest.raises(SchemaViolation):
         parse_prediction('{"sample_id":"img9","predicted":"maybe"}', 4)
     with pytest.raises(SchemaViolation):
         parse_prediction('{"predicted":"hand"}', 4)
+    with pytest.raises(MalformedJson, match=r"^line 4: malformed JSON: expected a JSON object, got list$"):
+        parse_prediction('[{"sample_id":"img9","predicted":"hand"}]', 4)

@@ -184,14 +184,15 @@ def test_manifest_hostile_line_is_malformed_json():
         parse_manifest_entry("{" * 200_000)
 
 
-def test_read_manifest_line_numbers_and_blanks():
-    lines = ['{"sample_id":"a","label":"hand"}', "", '{"sample_id":"b","label":"no_threat"}']
-    entries = read_manifest(lines)
+def test_read_manifest_line_numbers_and_blanks(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_text('{"sample_id":"a","label":"hand"}\n\n{"sample_id":"b","label":"no_threat"}\n')
+    entries = read_manifest(str(path))
     assert [e.sample_id for e in entries] == ["a", "b"]
 
-    bad = ['{"sample_id":"a","label":"hand"}', '{"oops":1}']
+    path.write_text('{"sample_id":"a","label":"hand"}\n{"oops":1}\n')
     with pytest.raises(SchemaViolation) as exc_info:
-        read_manifest(bad)
+        read_manifest(str(path))
     assert exc_info.value.line_no == 2
 
 

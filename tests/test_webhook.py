@@ -5,7 +5,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from threatwatch.alerts import AlertEvent, AlertKind, alert_event_to_dict
+from threatwatch.alerts import AlertEvent, AlertKind, alert_event_to_dict, serialize_alert_event
 from threatwatch.fusion import ThreatLevel
 from threatwatch.webhook import WebhookSink
 
@@ -49,6 +49,7 @@ def test_delivers_event_as_json():
         path, body = server.requests[0]
         assert path == "/hook"
         assert json.loads(body) == alert_event_to_dict(EVENT)
+        assert body == serialize_alert_event(EVENT).encode()
     finally:
         server.shutdown()
         server.server_close()
