@@ -5,7 +5,10 @@ events. A frame is hot when its level is at least GRASPED (a knife merely
 present in the scene is cold: countertop knives must not hold alerts
 open). n_raise consecutive hot frames open an alert, n_clear consecutive
 cold frames close it; the asymmetric defaults make a missed clear cheaper
-than a flapping alert during brief occlusions.
+than a flapping alert during brief occlusions. That n_clear-th cold frame
+closes the alert exactly as flush() would at its timestamp: step() hands
+the advanced state to flush(), so both clears share one event and one
+reset.
 
 The machine is purely functional: step() and flush() return a new state,
 never mutate, so states can be checkpointed or moved between threads
@@ -14,14 +17,12 @@ between calls. One state per stream_id; streams are independent.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ThreatwatchError
-from .fusion import ThreatAssessment, ThreatLevel
+from .fusion import _LEVEL_JSON, ThreatAssessment, ThreatLevel, _json_str
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +72,10 @@ class AlertState:
     consecutive_hot and consecutive_cold are never both positive. While an
     alert is open, peak_level/peak_score track the worst assessment seen
     since it was raised; the Cleared event reports those peaks rather than
-    the (by then cold) closing frame.
+    the (by then cold) closing frame. While no alert is open, escalated is
+    False, peak_level NONE and peak_score 0.0: this holds for every state
+    reachable from new_state, and step() builds such states with those
+    constants instead of copying them.
     """
 
     stream_id: str
@@ -104,21 +108,19 @@ class AlertEvent:
     score: float
 
 
-def alert_event_to_dict(event: AlertEvent) -> dict:
-    return {
-        "stream_id": event.stream_id,
-        "alert_id": event.alert_id,
-        "kind": event.kind.value,
-        "frame_id": event.frame_id,
-        "ts_ms": event.ts_ms,
-        "level": event.level.wire,
-        "score": event.score,
-    }
+_KIND_JSON = {kind: _json_str(kind.value) for kind in AlertKind}
 
 
 def serialize_alert_event(event: AlertEvent) -> str:
-    """One compact JSON line (no trailing newline)."""
-    return json.dumps(alert_event_to_dict(event), separators=(",", ":"))
+    """One compact JSON line (no trailing newline), byte for byte what
+    json.dumps gives for the event with separators (",", ":"), formatted
+    like fusion.serialize_assessment: the score is an assessment's or an
+    alert's peak, so always a finite float."""
+    return (
+        f'{{"stream_id":{_json_str(event.stream_id)},"alert_id":{_json_str(event.alert_id)},'
+        f'"kind":{_KIND_JSON[event.kind]},"frame_id":{event.frame_id},"ts_ms":{event.ts_ms},'
+        f'"level":{_LEVEL_JSON[event.level]},"score":{float.__repr__(event.score)}}}'
+    )
 
 
 def new_state(stream_id: str) -> AlertState:
@@ -138,97 +140,55 @@ def step(
     one, cold frames the reverse. An alert is raised when the hot streak
     reaches cfg.n_raise, escalated at most once on the first
     OVERHAND_THREAT frame after the raise, and cleared when the cold
-    streak reaches cfg.n_clear. ts_ms is the frame's timestamp, stamped
-    onto any event emitted for it.
+    streak reaches cfg.n_clear: that clear is flush() of the state
+    advanced to this frame. ts_ms is the frame's timestamp, stamped onto
+    any event emitted for it.
 
     Raises OutOfOrderFrame (state unchanged) when assessment.frame_id does
     not advance past the last frame seen.
     """
-    if assessment.stream_id != state.stream_id:
+    stream_id = state.stream_id
+    if assessment.stream_id != stream_id:
         raise ValueError(
             f"assessment for stream {assessment.stream_id!r} fed to state "
-            f"for {state.stream_id!r}"
+            f"for {stream_id!r}"
         )
-    if state.last_frame_id is not None and assessment.frame_id <= state.last_frame_id:
-        raise OutOfOrderFrame(state.stream_id, assessment.frame_id, state.last_frame_id)
+    frame_id = assessment.frame_id
+    if state.last_frame_id is not None and frame_id <= state.last_frame_id:
+        raise OutOfOrderFrame(stream_id, frame_id, state.last_frame_id)
 
-    hot = assessment.level >= ThreatLevel.GRASPED
-    if hot:
+    level = assessment.level
+    score = assessment.score
+    if level >= ThreatLevel.GRASPED:
         consecutive_hot = state.consecutive_hot + 1
         consecutive_cold = 0
     else:
         consecutive_hot = 0
         consecutive_cold = state.consecutive_cold + 1
 
-    active_alert_id = state.active_alert_id
-    escalated = state.escalated
-    peak_level = state.peak_level
-    peak_score = state.peak_score
-    event: AlertEvent | None = None
+    alert_id = state.active_alert_id
+    if alert_id is None:
+        if consecutive_hot < cfg.n_raise:
+            return AlertState(stream_id, consecutive_hot, consecutive_cold, None, False,
+                              ThreatLevel.NONE, 0.0, frame_id, ts_ms), None
+        alert_id = f"{stream_id}:{frame_id}"
+        return (AlertState(stream_id, consecutive_hot, 0, alert_id, False, level, score,
+                           frame_id, ts_ms),
+                AlertEvent(stream_id, alert_id, AlertKind.RAISED, frame_id, ts_ms, level, score))
 
-    if active_alert_id is None:
-        if consecutive_hot >= cfg.n_raise:
-            active_alert_id = f"{state.stream_id}:{assessment.frame_id}"
-            escalated = False
-            peak_level = assessment.level
-            peak_score = assessment.score
-            event = AlertEvent(
-                state.stream_id,
-                active_alert_id,
-                AlertKind.RAISED,
-                assessment.frame_id,
-                ts_ms,
-                assessment.level,
-                assessment.score,
-            )
-    else:
-        if assessment.level > peak_level:
-            peak_level = assessment.level
-        if assessment.score > peak_score:
-            peak_score = assessment.score
-        if (
-            not escalated
-            and assessment.level is ThreatLevel.OVERHAND_THREAT
-        ):
-            escalated = True
-            event = AlertEvent(
-                state.stream_id,
-                active_alert_id,
-                AlertKind.ESCALATED,
-                assessment.frame_id,
-                ts_ms,
-                assessment.level,
-                assessment.score,
-            )
-        elif consecutive_cold >= cfg.n_clear:
-            event = AlertEvent(
-                state.stream_id,
-                active_alert_id,
-                AlertKind.CLEARED,
-                assessment.frame_id,
-                ts_ms,
-                peak_level,
-                peak_score,
-            )
-            active_alert_id = None
-            escalated = False
-            peak_level = ThreatLevel.NONE
-            peak_score = 0.0
-            consecutive_hot = 0
-            consecutive_cold = 0
-
-    next_state = dataclasses.replace(
-        state,
-        consecutive_hot=consecutive_hot,
-        consecutive_cold=consecutive_cold,
-        active_alert_id=active_alert_id,
-        escalated=escalated,
-        peak_level=peak_level,
-        peak_score=peak_score,
-        last_frame_id=assessment.frame_id,
-        last_ts_ms=ts_ms,
+    escalate = not state.escalated and level is ThreatLevel.OVERHAND_THREAT
+    advanced = AlertState(
+        stream_id, consecutive_hot, consecutive_cold, alert_id, state.escalated or escalate,
+        level if level > state.peak_level else state.peak_level,
+        score if score > state.peak_score else state.peak_score,
+        frame_id, ts_ms,
     )
-    return next_state, event
+    if escalate:
+        return advanced, AlertEvent(stream_id, alert_id, AlertKind.ESCALATED, frame_id, ts_ms,
+                                    level, score)
+    if consecutive_cold >= cfg.n_clear:
+        return flush(advanced, ts_ms)
+    return advanced, None
 
 
 def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]:
@@ -247,17 +207,8 @@ def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]
             state.peak_level,
             state.peak_score,
         )
-    next_state = dataclasses.replace(
-        state,
-        consecutive_hot=0,
-        consecutive_cold=0,
-        active_alert_id=None,
-        escalated=False,
-        peak_level=ThreatLevel.NONE,
-        peak_score=0.0,
-        last_ts_ms=ts_ms,
-    )
-    return next_state, event
+    return AlertState(state.stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0,
+                      state.last_frame_id, ts_ms), event
 
 
 class AlertTracker:

@@ -10,9 +10,10 @@ Subcommands:
   simulate : render a scenario script to FrameRecord JSONL
 
 Every path flag accepts "-" for stdin/stdout so commands compose as shell
-pipelines. Exit codes: 0 success, 1 domain or validation error, 2 I/O
-error. score and watch end with a machine-parseable one-line summary on
-stderr (frames=... rate_fps=...).
+pipelines; at most one input of a command reads stdin. Exit codes: 0
+success, 1 domain or validation error, 2 I/O error. score and watch end
+with a machine-parseable one-line summary on stderr (frames=...
+rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Iterator, TextIO
 
-from .alerts import AlertKind, AlertTracker, TemporalConfig, serialize_alert_event
+from .alerts import AlertEvent, AlertKind, AlertTracker, TemporalConfig, serialize_alert_event
 from .backends import (
     REPLAY_SCHEME,
     SCHEMES,
@@ -130,13 +131,16 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
     return PipelineConfig(fusion, temporal, webhook_url, log_level.lower())
 
 
-def load_pipeline_config(path: str | None) -> PipelineConfig:
+def load_pipeline_config(path: str | None, stdin_taken: bool) -> PipelineConfig:
     """Load config from --config, else from $THREATWATCH_CONFIG, else
-    defaults."""
+    defaults. stdin_taken says the frames come from stdin, so a config
+    path of "-" is refused before either is read."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return PipelineConfig()
+    if path == "-" and stdin_taken:
+        raise BadConfig("config and input cannot both come from stdin")
     try:
         data = read_json(path)
     except MalformedJson as exc:
@@ -154,6 +158,17 @@ def _out_stream(path: str) -> Iterator[TextIO]:
             yield fh
         finally:
             fh.close()
+
+
+# The --input values that read stdin: a bare "-" replays it as JSONL.
+_STDIN_INPUTS = ("-", f"{REPLAY_SCHEME}:-", "synthetic:-")
+
+
+def _run_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config of a score or watch run, with its log level applied."""
+    config = load_pipeline_config(args.config, stdin_taken=args.input in _STDIN_INPUTS)
+    logging.getLogger().setLevel(_LOG_LEVELS[config.log_level])
+    return config
 
 
 @contextlib.contextmanager
@@ -203,9 +218,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = load_pipeline_config(args.config)
-    logging.getLogger().setLevel(_LOG_LEVELS[config.log_level])
-    fusion_cfg = config.fusion
+    fusion_cfg = _run_config(args).fusion
     frames = 0
     started = time.perf_counter()
     with (_input_frames(args.input, "raise" if args.strict else "skip") as (backend, records),
@@ -227,31 +240,32 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    config = load_pipeline_config(args.config)
-    logging.getLogger().setLevel(_LOG_LEVELS[config.log_level])
+    config = _run_config(args)
     webhook_url = args.webhook or config.webhook_url
     tracker = AlertTracker(config.temporal)
     fusion_cfg = config.fusion
     frames = 0
     raised = 0
     events = 0
+
+    def alert_events(records: Iterator[FrameRecord]) -> Iterator[AlertEvent]:
+        """Each frame's event, then the Cleared events of the final flush."""
+        nonlocal frames
+        for record in records:
+            frames += 1
+            event = tracker.feed(assess_frame(record, fusion_cfg), record.ts_ms)
+            if event is not None:
+                yield event
+        yield from tracker.flush_all()
+
     started = time.perf_counter()
     with (_input_frames(args.input, "skip") as (backend, records),
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
-        for record in records:
-            frames += 1
-            assessment = assess_frame(record, fusion_cfg)
-            event = tracker.feed(assessment, record.ts_ms)
-            if event is not None:
-                events += 1
-                if event.kind is AlertKind.RAISED:
-                    raised += 1
-                out.write(serialize_alert_event(event) + "\n")
-                if sink is not None:
-                    sink.send(event)
-        for event in tracker.flush_all():
+        for event in alert_events(records):
             events += 1
+            if event.kind is AlertKind.RAISED:
+                raised += 1
             out.write(serialize_alert_event(event) + "\n")
             if sink is not None:
                 sink.send(event)
@@ -264,6 +278,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
         f"elapsed_s={elapsed:.3f} rate_fps={rate:.1f}",
         file=sys.stderr,
     )
+    if sink is not None:
+        print(f"webhook: delivered={sink.delivered} failed={sink.failed} "
+              f"dropped={sink.dropped}", file=sys.stderr)
     return 0
 
 

@@ -1,16 +1,18 @@
 """Temporal alert state machine: hysteresis, lifecycle events, flush."""
 
+import dataclasses
+import json
 import random
 
 import pytest
 
 from threatwatch.alerts import (
+    AlertEvent,
     AlertKind,
     AlertPhase,
     AlertTracker,
     OutOfOrderFrame,
     TemporalConfig,
-    alert_event_to_dict,
     flush,
     new_state,
     serialize_alert_event,
@@ -272,7 +274,7 @@ def test_event_serialization():
     state = new_state("cam")
     a = ThreatAssessment("cam", 4, ThreatLevel.GRASPED, 0.77, ())
     _, event = step(state, a, cfg, ts_ms=132)
-    data = alert_event_to_dict(event)
+    data = json.loads(serialize_alert_event(event))
     assert data == {
         "stream_id": "cam",
         "alert_id": "cam:4",
@@ -283,6 +285,83 @@ def test_event_serialization():
         "score": 0.77,
     }
     assert serialize_alert_event(event).endswith("}")
+
+
+# (name, stream_id, kind, frame_id, ts_ms, level, score, expected line):
+# string escaping and number formatting, recorded from json.dumps(...,
+# separators=(",", ":")), which serialize_alert_event must match byte for
+# byte. The alert_id is "<stream_id>:<frame_id>".
+EVENT_LINES = [
+    ("quote_backslash", 'cam "a"\\b', AlertKind.RAISED, 2**64 - 1, 0, ThreatLevel.GRASPED, 0.7,
+     '{"stream_id":"cam \\"a\\"\\\\b","alert_id":"cam \\"a\\"\\\\b:18446744073709551615","kind":"raised","frame_id":18446744073709551615,"ts_ms":0,"level":"grasped","score":0.7}'),
+    ("control_chars", "cam\x01\t\n\x7f", AlertKind.ESCALATED, 0, 2**64 - 1, ThreatLevel.OVERHAND_THREAT, 0.95,
+     '{"stream_id":"cam\\u0001\\t\\n\\u007f","alert_id":"cam\\u0001\\t\\n\\u007f:0","kind":"escalated","frame_id":0,"ts_ms":18446744073709551615,"level":"overhand_threat","score":0.95}'),
+    ("latin1", "caméra", AlertKind.CLEARED, 7, 231, ThreatLevel.OVERHAND_THREAT, 1.0,
+     '{"stream_id":"cam\\u00e9ra","alert_id":"cam\\u00e9ra:7","kind":"cleared","frame_id":7,"ts_ms":231,"level":"overhand_threat","score":1.0}'),
+    ("non_bmp", "cam-\U0001F52A", AlertKind.CLEARED, 12, 396, ThreatLevel.GRASPED, 0.7,
+     '{"stream_id":"cam-\\ud83d\\udd2a","alert_id":"cam-\\ud83d\\udd2a:12","kind":"cleared","frame_id":12,"ts_ms":396,"level":"grasped","score":0.7}'),
+    ("lone_surrogate", "cam\ud800", AlertKind.RAISED, 1, 0, ThreatLevel.OBJECT_PRESENT, 0.95,
+     '{"stream_id":"cam\\ud800","alert_id":"cam\\ud800:1","kind":"raised","frame_id":1,"ts_ms":0,"level":"object_present","score":0.95}'),
+    ("level_none", "cam", AlertKind.CLEARED, 2**64 - 1, 2**64 - 1, ThreatLevel.NONE, 1.0,
+     '{"stream_id":"cam","alert_id":"cam:18446744073709551615","kind":"cleared","frame_id":18446744073709551615,"ts_ms":18446744073709551615,"level":"none","score":1.0}'),
+]
+
+
+@pytest.mark.parametrize("case", EVENT_LINES, ids=[c[0] for c in EVENT_LINES])
+def test_serialize_alert_event_golden(case):
+    _, stream_id, kind, frame_id, ts_ms, level, score, expected = case
+    event = AlertEvent(stream_id, f"{stream_id}:{frame_id}", kind, frame_id, ts_ms, level, score)
+    assert serialize_alert_event(event) == expected
+
+
+def test_state_invariants_random_steps_and_flushes():
+    """Every state step/flush returns, over random streams with repeated
+    and out-of-order frame_ids and flushes mid-stream: the streaks are
+    never both positive, a state without an open alert carries no
+    escalation or peaks, the last frame fields are the last accepted
+    frame's (last_ts_ms the flush's after a flush), and each n_clear clear
+    is flush() of the state advanced by its frame."""
+    rng = random.Random(2024)
+    levels = list(ThreatLevel)
+    for _ in range(300):
+        cfg = TemporalConfig(n_raise=rng.randint(1, 4), n_clear=rng.randint(1, 5))
+        state = new_state("s")
+        last_frame_id, last_ts_ms = None, 0
+        for _ in range(rng.randint(1, 120)):
+            before = state
+            if rng.random() < 0.05:
+                ts_ms = rng.randint(0, 10_000)
+                state, event = flush(state, ts_ms)
+                assert (event is None) == (before.active_alert_id is None)
+                assert (state.consecutive_hot, state.consecutive_cold) == (0, 0)
+                last_ts_ms = ts_ms
+            else:
+                if last_frame_id is None or rng.random() < 0.9:
+                    frame_id = (last_frame_id or 0) + rng.randint(1, 3)
+                else:
+                    frame_id = last_frame_id - rng.randint(0, 2)
+                level = rng.choice(levels)
+                score = LEVEL_SCORES[level] + rng.random() * 0.04
+                ts_ms = rng.randint(0, 10_000)
+                assessment = ThreatAssessment("s", frame_id, level, score, ())
+                if last_frame_id is not None and frame_id <= last_frame_id:
+                    with pytest.raises(OutOfOrderFrame):
+                        step(state, assessment, cfg, ts_ms=ts_ms)
+                    continue
+                state, event = step(state, assessment, cfg, ts_ms=ts_ms)
+                last_frame_id, last_ts_ms = frame_id, ts_ms
+                if event is not None and event.kind is AlertKind.CLEARED:
+                    advanced = dataclasses.replace(
+                        before, consecutive_hot=0, consecutive_cold=before.consecutive_cold + 1,
+                        last_frame_id=frame_id, last_ts_ms=ts_ms)
+                    assert advanced.consecutive_cold == cfg.n_clear
+                    assert flush(advanced, ts_ms) == (state, event)
+            assert not (state.consecutive_hot > 0 and state.consecutive_cold > 0)
+            if state.active_alert_id is None:
+                assert state.escalated is False
+                assert state.peak_level is ThreatLevel.NONE
+                assert state.peak_score == 0.0
+            assert (state.last_frame_id, state.last_ts_ms) == (last_frame_id, last_ts_ms)
 
 
 def test_tracker_routes_streams_and_counts_drops():

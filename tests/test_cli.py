@@ -210,6 +210,27 @@ def test_missing_input_leaves_existing_out_untouched(tmp_path, capsys, command, 
     assert out.read_text() == "earlier run\n"
 
 
+@pytest.mark.parametrize("stdin_input", ["-", "jsonl:-", "synthetic:-"])
+@pytest.mark.parametrize("config_by", ["flag", "env"])
+@pytest.mark.parametrize("command, out_flag", [("score", "--out"), ("watch", "--alerts")])
+def test_config_and_input_both_on_stdin_rejected(tmp_path, capsys, monkeypatch, command, out_flag,
+                                                  config_by, stdin_input):
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier run\n")
+    stdin = io.BytesIO(b"{}\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    argv = [command, "--input", stdin_input, out_flag, str(out)]
+    if config_by == "flag":
+        argv += ["--config", "-"]
+    else:
+        monkeypatch.setenv("THREATWATCH_CONFIG", "-")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config and input cannot both come from stdin"]
+    assert stdin.tell() == 0
+    assert out.read_text() == "earlier run\n"
+
+
 def test_unwritable_out_exits_2_and_closes_input(tmp_path, capsys, monkeypatch):
     frames = tmp_path / "frames.jsonl"
     frames.write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n')
@@ -260,6 +281,7 @@ def test_watch_empty_scene_no_events(tmp_path, capsys):
     assert captured.out == ""
     match = WATCH_SUMMARY_RE.search(captured.err)
     assert match.group(5) == "0"
+    assert "webhook:" not in captured.err
 
 
 def test_watch_drops_out_of_order_frames(tmp_path, capsys):
@@ -280,6 +302,7 @@ def test_watch_webhook_failure_does_not_lose_events(tmp_path, capsys):
                  "--webhook", "http://127.0.0.1:9/hook"])
     assert code == 0
     assert len(alerts.read_text().splitlines()) == 3
+    assert "webhook: delivered=0 failed=3 dropped=0" in capsys.readouterr().err.splitlines()
 
 
 def test_eval_table_against_fixture(capsys):

@@ -1,11 +1,13 @@
 """Webhook sink: delivery, retry, and never-blocking guarantees."""
 
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from threatwatch.alerts import AlertEvent, AlertKind, alert_event_to_dict, serialize_alert_event
+from threatwatch.alerts import AlertEvent, AlertKind, serialize_alert_event
+from threatwatch.cli import main
 from threatwatch.fusion import ThreatLevel
 from threatwatch.webhook import WebhookSink
 
@@ -48,7 +50,7 @@ def test_delivers_event_as_json():
         assert sink.failed == 0
         path, body = server.requests[0]
         assert path == "/hook"
-        assert json.loads(body) == alert_event_to_dict(EVENT)
+        assert json.loads(body) == json.loads(serialize_alert_event(EVENT))
         assert body == serialize_alert_event(EVENT).encode()
     finally:
         server.shutdown()
@@ -111,3 +113,23 @@ def test_close_is_idempotent():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_watch_prints_webhook_counts(tmp_path, capsys):
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"segments": [{"scene": "knife_overhand", "duration_frames": 5},
+                                               {"scene": "empty", "duration_frames": 12}],
+                                  "stream_id": "cam"}))
+    server, url = _start_server()
+    try:
+        assert main(["watch", "--input", f"synthetic:{script}", "--alerts", "-",
+                     "--webhook", url]) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    events = int(re.search(r" events=(\d+) ", lines[-2]).group(1))
+    assert events == len(captured.out.splitlines()) == len(server.requests) == 3
+    assert lines[-2].startswith("summary: ")
+    assert lines[-1] == f"webhook: delivered={events} failed=0 dropped=0"
