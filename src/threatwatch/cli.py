@@ -14,21 +14,31 @@ pipelines; at most one input of a command reads stdin. Exit codes: 0
 success, 1 domain or validation error, 2 I/O error. score and watch end
 with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
+
+score scores a JSONL file of POOL_MIN_CHUNKS chunks (CHUNK_BYTES) or more
+in a pool of spawned worker processes, min(usable CPUs, chunks) of them,
+when two or more CPUs are usable; the output, warnings, counts and errors
+are those of the one-process loop, which runs everything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterator, TextIO
 
+# ReplayBackend is named only as backends.ReplayBackend: perfbench's tracer
+# wraps a cli.ReplayBackend as a function when there is one.
+from . import backends
 from .alerts import AlertEvent, AlertKind, AlertTracker, TemporalConfig, serialize_alert_event
 from .backends import (
     REPLAY_SCHEME,
@@ -47,10 +57,9 @@ from .evaluation import (
     per_class_accuracy,
     render_report,
 )
-from .frames import (FrameRecord, MalformedJson, read_json, read_lines, read_manifest,
+from .frames import (FrameRecord, MalformedJson, read_chunks, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
-from .fusion import FusionConfig, assess_frame, serialize_assessment
-from .webhook import WebhookSink
+from .fusion import FusionConfig, assess_frame, score_lines, serialize_assessment
 
 logger = logging.getLogger(__name__)
 
@@ -171,20 +180,25 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-@contextlib.contextmanager
-def _input_frames(uri: str, on_error: str) -> Iterator[tuple[DetectorBackend, Iterator[FrameRecord]]]:
-    """Open --input and read ahead to its first record, so a missing or bad
-    input fails before the caller creates any output file. An input that is
-    not a backend URI is read as a JSONL path. The records are closed on
-    exit, which also closes the input file when the output cannot open."""
+def _open_input(uri: str, on_error: str) -> DetectorBackend:
+    """The backend of --input; an input that is not a backend URI is read
+    as a JSONL path."""
     try:
-        backend = open_backend(uri, on_error)
+        return open_backend(uri, on_error)
     except UnknownScheme:
-        backend = open_backend(f"{REPLAY_SCHEME}:{uri}", on_error)
+        return open_backend(f"{REPLAY_SCHEME}:{uri}", on_error)
+
+
+@contextlib.contextmanager
+def _input_frames(backend: DetectorBackend) -> Iterator[Iterator[FrameRecord]]:
+    """The backend's records, read ahead to the first one, so a missing or
+    bad input fails before the caller creates any output file. The records
+    are closed on exit, which also closes the input file when the output
+    cannot open."""
     records = backend.frames()
     try:
         first = next(records, None)
-        yield backend, records if first is None else itertools.chain((first,), records)
+        yield records if first is None else itertools.chain((first,), records)
     finally:
         if hasattr(records, "close"):
             records.close()
@@ -217,17 +231,104 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
+# Bytes of raw lines per chunk that score hands a worker process.
+CHUNK_BYTES = 256 * 1024
+# The fewest chunks that score runs in worker processes. Starting the pool
+# costs about 0.3 s, which a smaller file does not win back: on 2 CPUs,
+# prefixes of the replay-score benchmark input scored faster in one
+# process up to 4 MiB, tied at 5-6 MiB and were faster in the pool from
+# 7 MiB (11 of 11 runs).
+POOL_MIN_CHUNKS = 32
+
+
+def _score_workers(backend: DetectorBackend) -> int:
+    """How many worker processes score backend's frames: for a JSONL
+    replay of a regular file of POOL_MIN_CHUNKS chunks or more,
+    min(CPUs, chunks) when this process may use two CPUs or more;
+    otherwise 0, and score runs in this process. Where the OS does not
+    report which CPUs the process may use, all of them count."""
+    if not isinstance(backend, backends.ReplayBackend) or backend.path == "-":
+        return 0
+    try:
+        info = os.stat(backend.path)
+    except OSError:
+        return 0  # the one-process path reports it
+    chunks = -(-info.st_size // CHUNK_BYTES)
+    if not stat.S_ISREG(info.st_mode) or chunks < POOL_MIN_CHUNKS:
+        return 0
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cpus, chunks) if cpus >= 2 else 0
+
+
+def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig, out_path: str,
+                      workers: int) -> int:
+    """Score backend's file in a pool of worker processes, each running
+    fusion.score_lines on a chunk of raw lines, and write the results in
+    input order; returns the frame count. Output, warnings, skipped count
+    and --strict behave as in one process: bad lines are logged in line
+    order, out opens at the first frame, and under --strict the text
+    before the first bad line is written before its error is raised. At
+    most workers + 1 chunks are in flight."""
+    # Only this path needs the pool, so the one-process runs do not pay
+    # for importing it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    strict = backend.on_error == "raise"
+    frames = 0
+    with contextlib.ExitStack() as stack:
+        chunks = stack.enter_context(contextlib.closing(read_chunks(backend.path, CHUNK_BYTES)))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        # Unstarted chunks are cancelled when the run stops early.
+        stack.callback(pool.shutdown, cancel_futures=True)
+
+        def results() -> Iterator[tuple]:
+            in_flight: collections.deque = collections.deque()
+            for first_line_no, lines in chunks:
+                in_flight.append(pool.submit(score_lines, fusion_cfg, strict, first_line_no, lines))
+                if len(in_flight) > workers:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+
+        out = None
+        try:
+            for text, count, lead, bad, fatal in results():
+                for exc in bad[:lead]:
+                    backend._skip(exc)
+                if out is None and count:
+                    out = stack.enter_context(_out_stream(out_path))
+                for exc in bad[lead:]:
+                    backend._skip(exc)
+                if count:
+                    out.write(text)
+                frames += count
+                if fatal is not None:
+                    raise fatal
+        except BrokenProcessPool as exc:
+            raise ThreatwatchError(f"a score worker process died: {exc}") from None
+        if out is None:
+            stack.enter_context(_out_stream(out_path))
+    return frames
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     fusion_cfg = _run_config(args).fusion
     frames = 0
     started = time.perf_counter()
-    with (_input_frames(args.input, "raise" if args.strict else "skip") as (backend, records),
-          _out_stream(args.out) as out):
-        write = out.write
-        for record in records:
-            frames += 1
-            write(serialize_assessment(assess_frame(record, fusion_cfg)))
-            write("\n")
+    backend = _open_input(args.input, "raise" if args.strict else "skip")
+    workers = _score_workers(backend)
+    if workers:
+        frames = _score_in_workers(backend, fusion_cfg, args.out, workers)
+    else:
+        with _input_frames(backend) as records, _out_stream(args.out) as out:
+            write = out.write
+            for record in records:
+                frames += 1
+                write(serialize_assessment(assess_frame(record, fusion_cfg)))
+                write("\n")
     elapsed = time.perf_counter() - started
     skipped = getattr(backend, "skipped", 0)
     rate = frames / elapsed if elapsed > 0 else 0.0
@@ -258,8 +359,13 @@ def cmd_watch(args: argparse.Namespace) -> int:
                 yield event
         yield from tracker.flush_all()
 
+    if webhook_url:
+        # Imported only when used: its HTTP client is most of the package's
+        # import time and memory.
+        from .webhook import WebhookSink
     started = time.perf_counter()
-    with (_input_frames(args.input, "skip") as (backend, records),
+    backend = _open_input(args.input, "skip")
+    with (_input_frames(backend) as records,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
         for event in alert_events(records):

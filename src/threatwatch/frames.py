@@ -25,8 +25,11 @@ with label one of "threat" | "no_threat" | "hand".
 
 Every outside input, frames, manifests, predictions, scripts and config,
 is read here: _open ("-" is stdin), one strict UTF-8 decode, then
-read_lines (a line loop over _parse_line) or read_json (one document).
-Lines end at LF; a line that is not UTF-8 or not JSON is MalformedJson.
+parse_lines (the one line loop, over _parse_line) or read_json (one
+document). read_lines feeds parse_lines a whole input; read_chunks cuts a
+file into numbered chunks of raw lines, which score's worker processes
+hand to parse_lines. Lines end at LF; a line that is not UTF-8 or not
+JSON is MalformedJson.
 
 All types here are immutable value objects, and a value that exists is a
 valid one. The public constructors validate every invariant. The parser
@@ -403,20 +406,39 @@ def read_json(path: str) -> object:
 
 def read_lines(path: str, parse: Callable[[str, int], _T],
                on_bad: Callable[[ThreatwatchError], None] | None = None) -> Iterator[_T]:
-    """Yield parse(line, line_no) for each non-blank line at path ("-" =
-    stdin), lines numbered from 1. A line that is not UTF-8 or that parse
-    rejects raises, or is handed to on_bad when given. The input is opened
-    on the first next() and closed when the iterator ends or is closed."""
+    """parse_lines over the lines at path ("-" = stdin), numbered from 1.
+    The input is opened on the first next() and closed when the iterator
+    ends or is closed."""
     with _open(path) as fh:
-        for line_no, data in enumerate(fh, start=1):
-            try:
-                line = _utf8(data, line_no)
-                if line.strip():
-                    yield parse(line, line_no)
-            except (MalformedJson, SchemaViolation) as exc:
-                if on_bad is None:
-                    raise
-                on_bad(exc)
+        yield from parse_lines(fh, 1, parse, on_bad)
+
+
+def read_chunks(path: str, size: int) -> Iterator[tuple[int, list[bytes]]]:
+    """The raw lines at path ("-" = stdin) in chunks of whole lines of at
+    least size bytes (the last may be shorter), each with the number of its
+    first line, counted from 1. Lines split as in read_lines; hand each
+    chunk to parse_lines."""
+    with _open(path) as fh:
+        line_no = 1
+        while lines := fh.readlines(size):
+            yield line_no, lines
+            line_no += len(lines)
+
+
+def parse_lines(lines: Iterable[bytes], first_line_no: int, parse: Callable[[str, int], _T],
+                on_bad: Callable[[ThreatwatchError], None] | None = None) -> Iterator[_T]:
+    """Yield parse(line, line_no) for each non-blank raw line, numbered
+    from first_line_no. A line that is not UTF-8 or that parse rejects
+    raises, or is handed to on_bad when given."""
+    for line_no, data in enumerate(lines, start=first_line_no):
+        try:
+            line = _utf8(data, line_no)
+            if line.strip():
+                yield parse(line, line_no)
+        except (MalformedJson, SchemaViolation) as exc:
+            if on_bad is None:
+                raise
+            on_bad(exc)
 
 
 def _parse_line(line: str, line_no: int, build: Callable[[dict], _T]) -> _T:

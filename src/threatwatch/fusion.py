@@ -14,7 +14,9 @@ ThreatAssessment:
 
 Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. Everything here is pure and
-stateless; frames can be assessed in parallel in any order.
+stateless; frames can be assessed in parallel in any order. score_lines
+does so for the worker processes of `score`: it scores one chunk of raw
+JSONL lines, and imports nothing beyond this module and frames.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .frames import BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label, PoseKeypoint
+from .errors import ThreatwatchError
+from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
+                     MalformedJson, PoseKeypoint, SchemaViolation, parse_frame_record, parse_lines)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -335,3 +339,30 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
         f'"level":{_LEVEL_JSON[assessment.level]},"score":{float.__repr__(assessment.score)},'
         f'"evidence":[{",".join(map(_json_str, assessment.evidence))}]}}'
     )
+
+
+def score_lines(cfg: FusionConfig, strict: bool, first_line_no: int, lines: list[bytes]
+                ) -> tuple[str, int, int, list[ThreatwatchError], ThreatwatchError | None]:
+    """Parse, assess and serialize raw JSONL frame lines numbered from
+    first_line_no, as `score` does in one process.
+
+    Returns (text, frames, lead, bad, fatal): the assessment lines, each
+    ended by LF; how many there are; how many bad lines come before the
+    first frame; the bad lines skipped, as exceptions in line order; and,
+    when strict, the first bad line's exception, where scoring stopped,
+    else None.
+    """
+    parts: list[str] = []
+    bad: list[ThreatwatchError] = []
+    lead = 0
+    fatal = None
+    try:
+        for record in parse_lines(lines, first_line_no, parse_frame_record,
+                                  None if strict else bad.append):
+            if not parts:
+                lead = len(bad)
+            parts.append(serialize_assessment(assess_frame(record, cfg)))
+    except (MalformedJson, SchemaViolation) as exc:
+        fatal = exc
+    text = "\n".join(parts) + "\n" if parts else ""
+    return text, len(parts), lead, bad, fatal

@@ -9,6 +9,7 @@ rather than stalling ingest.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import queue
 import threading
@@ -83,5 +84,7 @@ class WebhookSink:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return 200 <= response.status < 300
-        except (urllib.error.URLError, OSError, ValueError):
+        except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException):
+            # HTTPException: a reply that is not HTTP, which urlopen
+            # passes through unwrapped.
             return False

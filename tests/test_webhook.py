@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -133,3 +134,33 @@ def test_watch_prints_webhook_counts(tmp_path, capsys):
     assert events == len(captured.out.splitlines()) == len(server.requests) == 3
     assert lines[-2].startswith("summary: ")
     assert lines[-1] == f"webhook: delivered={events} failed=0 dropped=0"
+
+
+def _serve_garbage(listener, replies):
+    """Answer each POST on listener with bytes that are not HTTP."""
+    for _ in range(replies):
+        conn, _ = listener.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                request += conn.recv(65536)
+            head, _, body = request.partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(body) < length:
+                body += conn.recv(65536)
+            conn.sendall(b"garbage\r\n\r\n")
+
+
+def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=_serve_garbage, args=(listener, 10), daemon=True)
+        server.start()
+        with WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook") as sink:
+            for _ in range(5):
+                sink.send(EVENT)
+        server.join(timeout=10)
+        assert not server.is_alive()
+    assert uncaught == []
+    assert (sink.delivered, sink.failed, sink.dropped) == (0, 5, 0)
