@@ -14,9 +14,8 @@ import importlib
 
 _EXPORTS = {
     "alerts": (
-        "AlertEvent", "AlertKind", "AlertPhase", "AlertState", "AlertTracker",
-        "OutOfOrderFrame", "TemporalConfig", "flush", "new_state",
-        "serialize_alert_event", "step",
+        "AlertEvent", "AlertKind", "AlertState", "AlertTracker", "OutOfOrderFrame",
+        "TemporalConfig", "flush", "new_state", "serialize_alert_event", "step",
     ),
     "backends": (
         "AdapterUnavailable", "BadScript", "DetectorBackend", "ReplayBackend",
@@ -29,7 +28,6 @@ _EXPORTS = {
         "EvalReport", "MissingPrediction", "PredictedLabel", "Split",
         "SplitAssignment", "UnknownSample", "confusion_matrix", "make_splits",
         "parse_prediction", "per_class_accuracy", "render_report",
-        "report_from_json",
     ),
     "frames": (
         "BoundingBox", "ClassScores", "DuplicateSampleId", "EmptyManifest",

@@ -39,12 +39,6 @@ class OutOfOrderFrame(ThreatwatchError):
         self.last_frame_id = last_frame_id
 
 
-class AlertPhase(Enum):
-    IDLE = "idle"
-    SUSPECTED = "suspected"
-    ACTIVE = "active"
-
-
 class AlertKind(Enum):
     RAISED = "raised"
     ESCALATED = "escalated"
@@ -87,14 +81,6 @@ class AlertState:
     peak_score: float = 0.0
     last_frame_id: int | None = None
     last_ts_ms: int = 0
-
-    @property
-    def phase(self) -> AlertPhase:
-        if self.active_alert_id is not None:
-            return AlertPhase.ACTIVE
-        if self.consecutive_hot > 0:
-            return AlertPhase.SUSPECTED
-        return AlertPhase.IDLE
 
 
 @dataclass(frozen=True, slots=True)

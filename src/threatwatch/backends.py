@@ -211,12 +211,11 @@ class DetectorBackend(ABC):
 class SyntheticBackend(DetectorBackend):
     """Scenario generator backend; emits all three evidence channels."""
 
-    def __init__(self, script: ScenarioScript, seed: int | None = None) -> None:
+    def __init__(self, script: ScenarioScript) -> None:
         self.script = script
-        self.seed = seed
 
     def frames(self) -> Iterator[FrameRecord]:
-        return synthesize(self.script, self.seed)
+        return synthesize(self.script)
 
 
 class ReplayBackend(DetectorBackend):

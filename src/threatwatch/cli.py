@@ -33,8 +33,8 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass, field, fields
-from typing import Iterator, TextIO
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ContextManager, Iterator, TextIO
 
 # ReplayBackend is named only as backends.ReplayBackend: perfbench's tracer
 # wraps a cli.ReplayBackend as a function when there is one.
@@ -44,7 +44,6 @@ from .backends import (
     REPLAY_SCHEME,
     SCHEMES,
     DetectorBackend,
-    UnknownScheme,
     load_script,
     open_backend,
     synthesize,
@@ -91,43 +90,34 @@ def _check_keys(data: dict, allowed: set[str], where: str) -> None:
         raise BadConfig(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def _numeric_fields(data: dict, where: str, integer: bool = False) -> dict:
-    out = {}
-    for key, value in data.items():
+def _section(data: dict, where: str, cls: type):
+    """The config section data[where] as a cls, cls() when absent. Its keys
+    are cls's fields; a field whose default is an int takes integers only,
+    every other field any number."""
+    raw = data.get(where, {})
+    if not isinstance(raw, dict):
+        raise BadConfig(f"config.{where} must be an object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    _check_keys(raw, set(defaults), where)
+    for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BadConfig(f"{where}.{key} must be a number")
-        if integer and not isinstance(value, int):
+        if isinstance(defaults[key], int) and not isinstance(value, int):
             raise BadConfig(f"{where}.{key} must be an integer")
-        out[key] = value
-    return out
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise BadConfig(str(exc)) from None
 
 
 def pipeline_config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise BadConfig("config must be a JSON object")
-    _check_keys(data, {"fusion", "temporal", "webhook_url", "log_level"}, "config")
-
-    fusion = FusionConfig()
-    if "fusion" in data:
-        raw = data["fusion"]
-        if not isinstance(raw, dict):
-            raise BadConfig("config.fusion must be an object")
-        _check_keys(raw, {f.name for f in fields(FusionConfig)}, "fusion")
-        try:
-            fusion = FusionConfig(**_numeric_fields(raw, "fusion"))
-        except ValueError as exc:
-            raise BadConfig(str(exc)) from None
-
-    temporal = TemporalConfig()
-    if "temporal" in data:
-        raw = data["temporal"]
-        if not isinstance(raw, dict):
-            raise BadConfig("config.temporal must be an object")
-        _check_keys(raw, {f.name for f in fields(TemporalConfig)}, "temporal")
-        try:
-            temporal = TemporalConfig(**_numeric_fields(raw, "temporal", integer=True))
-        except ValueError as exc:
-            raise BadConfig(str(exc)) from None
+    top = fields(PipelineConfig)
+    _check_keys(data, {f.name for f in top}, "config")
+    # The sections are the fields with a factory: fusion, then temporal.
+    sections = {f.name: _section(data, f.name, f.default_factory)
+                for f in top if f.default_factory is not MISSING}
 
     webhook_url = data.get("webhook_url")
     if webhook_url is not None and not isinstance(webhook_url, str):
@@ -137,7 +127,7 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(log_level, str) or log_level.lower() not in _LOG_LEVELS:
         raise BadConfig(f"config.log_level must be one of {sorted(_LOG_LEVELS)}")
 
-    return PipelineConfig(fusion, temporal, webhook_url, log_level.lower())
+    return PipelineConfig(**sections, webhook_url=webhook_url, log_level=log_level.lower())
 
 
 def load_pipeline_config(path: str | None, stdin_taken: bool) -> PipelineConfig:
@@ -157,20 +147,17 @@ def load_pipeline_config(path: str | None, stdin_taken: bool) -> PipelineConfig:
     return pipeline_config_from_dict(data)
 
 
-@contextlib.contextmanager
-def _out_stream(path: str) -> Iterator[TextIO]:
+def _out_stream(path: str) -> ContextManager[TextIO]:
+    """The text output at path; "-" is stdout, which stays open on exit."""
     if path == "-":
-        yield sys.stdout
-    else:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-        try:
-            yield fh
-        finally:
-            fh.close()
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 # The --input values that read stdin: a bare "-" replays it as JSONL.
 _STDIN_INPUTS = ("-", f"{REPLAY_SCHEME}:-", "synthetic:-")
+# The --input prefixes that name a backend; any other value is a JSONL path.
+_URI_PREFIXES = tuple(f"{scheme}:" for scheme in SCHEMES)
 
 
 def _run_config(args: argparse.Namespace) -> PipelineConfig:
@@ -180,13 +167,18 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _open_input(uri: str, on_error: str) -> DetectorBackend:
+def _open_input(uri: str, on_error: str, out_path: str) -> DetectorBackend:
     """The backend of --input; an input that is not a backend URI is read
-    as a JSONL path."""
-    try:
-        return open_backend(uri, on_error)
-    except UnknownScheme:
-        return open_backend(f"{REPLAY_SCHEME}:{uri}", on_error)
+    as a JSONL path. A JSONL input that is the out_path file is refused
+    before either is opened: opening out_path would truncate it."""
+    if not uri.startswith(_URI_PREFIXES):
+        uri = f"{REPLAY_SCHEME}:{uri}"
+    backend = open_backend(uri, on_error)
+    if (isinstance(backend, backends.ReplayBackend) and "-" not in (backend.path, out_path)
+            and os.path.exists(backend.path) and os.path.exists(out_path)
+            and os.path.samefile(backend.path, out_path)):
+        raise ThreatwatchError(f"input and output are the same file: {out_path}")
+    return backend
 
 
 @contextlib.contextmanager
@@ -314,11 +306,21 @@ def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig,
     return frames
 
 
+def _print_summary(started: float, frames: int, backend: DetectorBackend, **counts: int) -> None:
+    """Print the stderr summary line of a score or watch run begun at
+    perf_counter() value started, with counts after frames and skipped."""
+    elapsed = time.perf_counter() - started
+    rate = frames / elapsed if elapsed > 0 else 0.0
+    extra = "".join(f"{name}={count} " for name, count in counts.items())
+    print(f"summary: frames={frames} skipped={getattr(backend, 'skipped', 0)} {extra}"
+          f"elapsed_s={elapsed:.3f} rate_fps={rate:.1f}", file=sys.stderr)
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     fusion_cfg = _run_config(args).fusion
     frames = 0
     started = time.perf_counter()
-    backend = _open_input(args.input, "raise" if args.strict else "skip")
+    backend = _open_input(args.input, "raise" if args.strict else "skip", args.out)
     workers = _score_workers(backend)
     if workers:
         frames = _score_in_workers(backend, fusion_cfg, args.out, workers)
@@ -329,14 +331,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 frames += 1
                 write(serialize_assessment(assess_frame(record, fusion_cfg)))
                 write("\n")
-    elapsed = time.perf_counter() - started
-    skipped = getattr(backend, "skipped", 0)
-    rate = frames / elapsed if elapsed > 0 else 0.0
-    print(
-        f"summary: frames={frames} skipped={skipped} "
-        f"elapsed_s={elapsed:.3f} rate_fps={rate:.1f}",
-        file=sys.stderr,
-    )
+    _print_summary(started, frames, backend)
     return 0
 
 
@@ -364,7 +359,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         # import time and memory.
         from .webhook import WebhookSink
     started = time.perf_counter()
-    backend = _open_input(args.input, "skip")
+    backend = _open_input(args.input, "skip", args.alerts)
     with (_input_frames(backend) as records,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
@@ -375,15 +370,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
             out.write(serialize_alert_event(event) + "\n")
             if sink is not None:
                 sink.send(event)
-    elapsed = time.perf_counter() - started
-    skipped = getattr(backend, "skipped", 0)
-    rate = frames / elapsed if elapsed > 0 else 0.0
-    print(
-        f"summary: frames={frames} skipped={skipped} dropped={tracker.dropped} "
-        f"alerts_raised={raised} events={events} "
-        f"elapsed_s={elapsed:.3f} rate_fps={rate:.1f}",
-        file=sys.stderr,
-    )
+    _print_summary(started, frames, backend, dropped=tracker.dropped, alerts_raised=raised,
+                   events=events)
     if sink is not None:
         print(f"webhook: delivered={sink.delivered} failed={sink.failed} "
               f"dropped={sink.dropped}", file=sys.stderr)
@@ -412,10 +400,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_INPUT_HELP = (f"frame source: a {'/'.join(s + ':' for s in SCHEMES)} URI; anything "
-               "else is a JSONL path; a path of '-' (also in synthetic:-) is stdin")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threatwatch",
@@ -435,24 +419,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output JSONL path ('-' = stdout)")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("score", help="per-frame fused assessments")
-    p.add_argument("--input", required=True, help=_INPUT_HELP)
-    p.add_argument("--config", default=None,
-                   help=f"pipeline config JSON (default ${CONFIG_ENV_VAR})")
-    p.add_argument("--out", default="-", help="assessments JSONL ('-' = stdout)")
-    p.add_argument("--strict", action="store_true",
-                   help="abort on the first malformed input line instead of "
-                        "skipping it with a warning")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("watch", help="assessments + temporal alert events")
-    p.add_argument("--input", required=True, help=_INPUT_HELP)
-    p.add_argument("--config", default=None,
-                   help=f"pipeline config JSON (default ${CONFIG_ENV_VAR})")
-    p.add_argument("--alerts", default="-", help="alert events JSONL ('-' = stdout)")
-    p.add_argument("--webhook", default=None,
-                   help="POST each alert event to this URL (overrides config)")
-    p.set_defaults(func=cmd_watch)
+    score = sub.add_parser("score", help="per-frame fused assessments")
+    watch = sub.add_parser("watch", help="assessments + temporal alert events")
+    for p in (score, watch):
+        p.add_argument("--input", required=True,
+                       help=f"frame source: a {'/'.join(_URI_PREFIXES)} URI; anything else is "
+                            "a JSONL path; a path of '-' (also in synthetic:-) is stdin")
+        p.add_argument("--config", default=None,
+                       help=f"pipeline config JSON (default ${CONFIG_ENV_VAR})")
+    score.add_argument("--out", default="-", help="assessments JSONL ('-' = stdout)")
+    score.add_argument("--strict", action="store_true",
+                       help="abort on the first malformed input line instead of "
+                            "skipping it with a warning")
+    score.set_defaults(func=cmd_score)
+    watch.add_argument("--alerts", default="-", help="alert events JSONL ('-' = stdout)")
+    watch.add_argument("--webhook", default=None,
+                       help="POST each alert event to this URL (overrides config)")
+    watch.set_defaults(func=cmd_watch)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
     p.add_argument("--pred", required=True, help="predictions JSONL ('-' = stdin)")

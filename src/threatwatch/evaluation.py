@@ -25,7 +25,7 @@ from .frames import ManifestEntry, ManifestLabel, _Invalid, _parse_line, validat
 
 
 class BadRatios(ThreatwatchError):
-    """Split ratios that are non-positive or do not sum to 1."""
+    """Split ratios that are not all finite and positive, or do not sum to 1."""
 
 
 class MissingPrediction(ThreatwatchError):
@@ -129,10 +129,10 @@ def make_splits(
     under splitmix64(seed), then cut at floor(r_train * N) and
     floor(r_val * N); the remainder is the test split.
 
-    Raises BadRatios for non-positive ratios or a sum off 1 by more than
-    1e-9; manifest validation errors propagate.
+    Raises BadRatios for ratios that are not finite and positive, or whose
+    sum is off 1 by more than 1e-9; manifest validation errors propagate.
     """
-    if len(ratios) != 3 or any(r <= 0.0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0.0 and math.isfinite(r) for r in ratios):
         raise BadRatios(f"ratios must be three positive fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must sum to 1, got {sum(ratios)!r}")
@@ -258,9 +258,9 @@ def per_class_accuracy(matrix: ConfusionMatrix, sources: tuple[str, str] | None 
 
 
 def render_report(report: EvalReport, fmt: str) -> str:
-    """Render as "json" (full precision, machine-readable, round-trips
-    through report_from_json) or "table" (CLASS / ACCURACY / # SAMPLES
-    columns, accuracies shown to two decimals)."""
+    """Render as "json" (every field of the report at full precision,
+    machine-readable) or "table" (CLASS / ACCURACY / # SAMPLES columns,
+    accuracies shown to two decimals)."""
     if fmt == "json":
         return json.dumps(_report_to_dict(report), indent=2)
     if fmt == "table":
@@ -300,32 +300,6 @@ def _report_to_dict(report: EvalReport) -> dict:
     if report.sources is not None:
         out["sources"] = {"labels": report.sources[0], "predictions": report.sources[1]}
     return out
-
-
-def report_from_json(text: str) -> EvalReport:
-    """Inverse of render_report(..., "json")."""
-    data = json.loads(text)
-    counts = tuple(tuple(int(v) for v in row) for row in data["matrix"]["counts"])
-    classes = tuple(
-        ClassReport(
-            ManifestLabel(c["label"]),
-            int(c["samples"]),
-            int(c["correct"]),
-            float(c["accuracy"]),
-            None if c["precision"] is None else float(c["precision"]),
-        )
-        for c in data["classes"]
-    )
-    sources = None
-    if data.get("sources") is not None:
-        sources = (data["sources"]["labels"], data["sources"]["predictions"])
-    return EvalReport(
-        ConfusionMatrix(counts),
-        classes,
-        float(data["overall_accuracy"]),
-        int(data["total"]),
-        sources,
-    )
 
 
 def _prediction(obj: dict) -> tuple[str, PredictedLabel]:

@@ -46,7 +46,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, Mapping, TypeVar
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, Mapping, Sized, TypeVar
 
 from .errors import ThreatwatchError
 
@@ -58,6 +58,11 @@ EDGE_TOL = 1e-9
 SCORE_TOL = 1e-6
 
 _UINT64_MAX = 2**64 - 1
+
+# The most detections, and the most keypoints, one frame may carry: fusion
+# weighs every hand against every knife, so its cost grows with the square
+# of the list. Mask R-CNN-style detectors typically cap theirs at 100.
+MAX_ENTRIES = 256
 
 
 class MalformedJson(ThreatwatchError):
@@ -171,15 +176,24 @@ def _keypoint_error(name: str, x: float, y: float, conf: float) -> str | None:
     return None
 
 
-def _record_error(stream_id: str, frame_id: int, ts_ms: int) -> str | None:
-    """Why the identity fields are no valid FrameRecord, or None."""
+def _entries_error(entries: Sized, prefix: str = "") -> str | None:
+    """Why entries are too many for a FrameRecord's detections or
+    keypoints, after prefix, or None."""
+    if len(entries) > MAX_ENTRIES:
+        return f"{prefix}expected at most {MAX_ENTRIES} entries, got {len(entries)}"
+    return None
+
+
+def _record_error(stream_id: str, frame_id: int, ts_ms: int, detections: Sized,
+                  keypoints: Sized) -> str | None:
+    """Why the fields are no valid FrameRecord (parts aside), or None."""
     if not stream_id:
         return "stream_id must be non-empty"
     if not (0 <= frame_id <= _UINT64_MAX):
         return f"frame_id must be a uint64, got {frame_id}"
     if not (0 <= ts_ms <= _UINT64_MAX):
         return f"ts_ms must be a uint64, got {ts_ms}"
-    return None
+    return _entries_error(detections, "detections: ") or _entries_error(keypoints, "keypoints: ")
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +300,8 @@ class FrameRecord:
     keypoints: tuple[PoseKeypoint, ...] = ()
 
     def __post_init__(self) -> None:
-        error = _record_error(self.stream_id, self.frame_id, self.ts_ms)
+        error = _record_error(self.stream_id, self.frame_id, self.ts_ms, self.detections,
+                              self.keypoints)
         if error is not None:
             raise ValueError(error)
 
@@ -454,10 +469,13 @@ def _parse_line(line: str, line_no: int, build: Callable[[dict], _T]) -> _T:
 
 
 def _array(raw: object, parse: Callable[[object], _T], path: str) -> tuple[_T, ...]:
-    """Parse each element of a JSON array; a fault's path gets the
-    array's path and the element index in front."""
+    """Parse each element of a JSON array of at most MAX_ENTRIES; a
+    fault's path gets the array's path and the element index in front."""
     if type(raw) is not list:
         raise _expected(path, "an array", raw)
+    error = _entries_error(raw)
+    if error is not None:
+        raise _Invalid(path, error)
     parts: list = []
     append = parts.append
     try:
@@ -562,7 +580,7 @@ def _frame_record(obj: dict) -> FrameRecord:
     detections = () if detections is None else _array(detections, _detection, "$.detections")
     keypoints = get("keypoints")
     keypoints = () if keypoints is None else _array(keypoints, _keypoint, "$.keypoints")
-    error = _record_error(stream_id, frame_id, ts_ms)
+    error = _record_error(stream_id, frame_id, ts_ms, detections, keypoints)
     if error is not None:
         raise _Invalid("$", error)
     return _new_record(stream_id, frame_id, ts_ms, scores, detections, keypoints)

@@ -9,7 +9,6 @@ import pytest
 from threatwatch.alerts import (
     AlertEvent,
     AlertKind,
-    AlertPhase,
     AlertTracker,
     OutOfOrderFrame,
     TemporalConfig,
@@ -193,8 +192,7 @@ def test_flush_closes_open_alert():
     assert event.kind is AlertKind.CLEARED
     assert event.ts_ms == 999
     assert event.frame_id == 2
-    assert state.active_alert_id is None
-    assert state.phase is AlertPhase.IDLE
+    assert (state.consecutive_hot, state.active_alert_id) == (0, None)
 
 
 def test_flush_idle_and_suspected_no_event():
@@ -205,27 +203,29 @@ def test_flush_idle_and_suspected_no_event():
 
     for a in assessments([ThreatLevel.GRASPED, ThreatLevel.GRASPED]):
         state, _ = step(state, a, cfg)
-    assert state.phase is AlertPhase.SUSPECTED
+    assert (state.consecutive_hot, state.active_alert_id) == (2, None)  # suspected
     state, event = flush(state, ts_ms=0)
     assert event is None
-    assert state.phase is AlertPhase.IDLE
+    assert (state.consecutive_hot, state.active_alert_id) == (0, None)
 
 
 def test_phase_progression():
+    # idle: no hot streak and no alert; suspected: a hot streak and no
+    # alert yet; active: an alert open
     cfg = TemporalConfig(n_raise=2, n_clear=2)
     state = new_state("s")
-    assert state.phase is AlertPhase.IDLE
+    assert (state.consecutive_hot, state.active_alert_id) == (0, None)
     seq = assessments([ThreatLevel.GRASPED, ThreatLevel.GRASPED,
                        ThreatLevel.NONE, ThreatLevel.NONE])
     state, _ = step(state, seq[0], cfg)
-    assert state.phase is AlertPhase.SUSPECTED
+    assert (state.consecutive_hot, state.active_alert_id) == (1, None)
     state, _ = step(state, seq[1], cfg)
-    assert state.phase is AlertPhase.ACTIVE
+    assert (state.consecutive_hot, state.active_alert_id) == (2, "s:2")
     state, _ = step(state, seq[2], cfg)
-    assert state.phase is AlertPhase.ACTIVE
+    assert (state.consecutive_hot, state.active_alert_id) == (0, "s:2")
     state, event = step(state, seq[3], cfg)
     assert event.kind is AlertKind.CLEARED
-    assert state.phase is AlertPhase.IDLE
+    assert (state.consecutive_hot, state.active_alert_id) == (0, None)
 
 
 def test_counters_never_both_positive():

@@ -96,6 +96,21 @@ def test_split_bad_ratio_sum_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_split_non_finite_ratio_exits_1(tmp_path, capsys, bad, position):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [("a", "hand"), ("b", "threat")])
+    ratios = ["0.5", "0.5", "0.5"]
+    ratios[position] = bad
+    out = tmp_path / "split.jsonl"
+    assert main(["split", "--manifest", str(manifest), "--ratios", ",".join(ratios),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ratios must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_split_unparseable_ratio_is_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["split", "--manifest", "x", "--ratios", "a,b,c"])
@@ -142,8 +157,14 @@ def test_score_skips_bad_lines_by_default(tmp_path, capsys):
     (b'{"stream_id":"c","frame_id":' + b"7" * 5000 + b',"ts_ms":33}', "line 2: malformed JSON: "),
     (b"[" * 200_000, "line 2: malformed JSON: "),
     (b'{"stream_id":"c\xff","frame_id":2,"ts_ms":33}', "line 2: malformed JSON: "),
+    (json.dumps({"stream_id": "c", "frame_id": 2, "ts_ms": 33, "detections": [
+        {"label": "knife", "box": [0.4, 0.5, 0.1, 0.2], "conf": 0.93}] * 257}).encode(),
+     "line 2: $.detections: expected at most 256 entries, got 257"),
+    (json.dumps({"stream_id": "c", "frame_id": 2, "ts_ms": 33, "keypoints": [
+        {"name": "wrist", "x": 0.5, "y": 0.4, "conf": 0.8}] * 257}).encode(),
+     "line 2: $.keypoints: expected at most 256 entries, got 257"),
 ], ids=["number_beyond_float", "integer_beyond_digit_limit", "nesting_beyond_recursion_limit",
-        "byte_not_utf8"])
+        "byte_not_utf8", "detections_beyond_limit", "keypoints_beyond_limit"])
 def test_hostile_line_is_skipped_not_fatal(tmp_path, capsys, monkeypatch, bad, strict_error):
     data = b'{"stream_id":"c","frame_id":1,"ts_ms":0}\n' + bad + b'\n{"stream_id":"c","frame_id":3,"ts_ms":66}\n'
     frames = tmp_path / "frames.jsonl"
@@ -196,6 +217,27 @@ def test_score_non_uri_input_is_a_jsonl_path(tmp_path, capsys, monkeypatch):
     assert main(["score", "--input", "ftp:frames.jsonl", "--out", "a.jsonl"]) == 0
     assert main(["score", "--input", "jsonl:ftp:frames.jsonl", "--out", "b.jsonl"]) == 0
     assert (tmp_path / "a.jsonl").read_text() == (tmp_path / "b.jsonl").read_text() != ""
+    # a scheme name without its colon is a path as well
+    (tmp_path / "synthetic").write_text('{"stream_id":"c","frame_id":1,"ts_ms":0}\n')
+    assert main(["score", "--input", "synthetic", "--out", "c.jsonl"]) == 0
+    assert (tmp_path / "c.jsonl").read_text() == (tmp_path / "a.jsonl").read_text()
+
+
+def test_watch_input_that_is_also_the_output_is_refused(tmp_path, capsys):
+    records = list(synthesize(ScenarioScript((Segment(Scene.KNIFE_OVERHAND, 5),), seed=3)))
+    data = "".join(serialize_frame_record(r) + "\n" for r in records)
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(data)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(frames)
+    for source, alerts in ((str(frames), str(frames)), (f"jsonl:{link}", str(frames)),
+                           (str(frames), str(tmp_path / "." / "link.jsonl"))):
+        assert main(["watch", "--input", source, "--alerts", alerts]) == 1
+        assert capsys.readouterr().err == f"error: input and output are the same file: {alerts}\n"
+        assert frames.read_text() == data
+    # a different file, or stdout, is fine
+    assert main(["watch", "--input", f"jsonl:{link}", "--alerts", "-"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["kind"] == "raised"
 
 
 def test_score_missing_input_exits_2(tmp_path, capsys):

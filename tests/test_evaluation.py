@@ -22,7 +22,6 @@ from threatwatch.evaluation import (
     parse_prediction,
     per_class_accuracy,
     render_report,
-    report_from_json,
 )
 from threatwatch.frames import DuplicateSampleId, EmptyManifest, ManifestEntry, ManifestLabel
 
@@ -103,6 +102,12 @@ def test_bad_ratios():
         make_splits(manifest(10), seed=0, ratios=(0.9, 0.1, 0.0))
     with pytest.raises(BadRatios):
         make_splits(manifest(10), seed=0, ratios=(1.0, -0.1, 0.1))
+    for bad in (math.nan, math.inf, -math.inf):
+        for position in range(3):
+            ratios = [0.5, 0.25, 0.25]
+            ratios[position] = bad
+            with pytest.raises(BadRatios, match="^ratios must be three positive fractions"):
+                make_splits(manifest(10), seed=0, ratios=tuple(ratios))
 
 
 def test_split_manifest_validation():
@@ -262,7 +267,19 @@ def test_render_json_round_trip():
     preds = [(e.sample_id, rng.choice(list(PredictedLabel))) for e in labels]
     report = per_class_accuracy(confusion_matrix(preds, labels),
                                 sources=("labels.jsonl", "preds.jsonl"))
-    assert report_from_json(render_report(report, "json")) == report
+    data = json.loads(render_report(report, "json"))
+    assert data == {
+        "matrix": {"labels": [label.value for label in CLASS_ORDER],
+                   "counts": [list(row) for row in report.matrix.counts]},
+        "classes": [{"label": cls.label.value, "samples": cls.samples, "correct": cls.correct,
+                     "accuracy": cls.accuracy, "precision": cls.precision}
+                    for cls in report.classes],
+        "overall_accuracy": report.overall_accuracy,
+        "total": report.total,
+        "sources": {"labels": "labels.jsonl", "predictions": "preds.jsonl"},
+    }
+    unsourced = per_class_accuracy(report.matrix)
+    assert json.loads(render_report(unsourced, "json"))["sources"] is None
     with pytest.raises(ValueError):
         render_report(report, "yaml")
 

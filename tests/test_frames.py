@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from threatwatch.frames import (
+    MAX_ENTRIES,
     BoundingBox,
     ClassScores,
     DuplicateSampleId,
@@ -451,6 +452,29 @@ def test_number_beyond_float_in_a_detection(field):
     with pytest.raises(SchemaViolation) as exc_info:
         parse_frame_record(line)
     assert exc_info.value.path == ("$.detections[0].box" if field == "box" else "$.detections[0]")
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("detections", {"label": "knife", "box": [0.4, 0.5, 0.1, 0.2], "conf": 0.9}),
+    ("keypoints", {"name": "wrist", "x": 0.5, "y": 0.4, "conf": 0.8}),
+])
+def test_entries_per_array_are_capped(field, entry):
+    def line(n, item=entry):
+        return json.dumps({"stream_id": "c", "frame_id": 1, "ts_ms": 0, field: [item] * n})
+
+    assert MAX_ENTRIES == 256
+    record = parse_frame_record(line(256))
+    entries = getattr(record, field)
+    assert len(entries) == 256
+    assert FrameRecord("c", 1, 0, **{field: entries}) == record
+    message = f"line 4: $.{field}: expected at most 256 entries, got 257"
+    for item in (entry, None):  # the length is checked before any element
+        with pytest.raises(SchemaViolation) as exc_info:
+            parse_frame_record(line(257, item), 4)
+        assert str(exc_info.value) == message
+    with pytest.raises(ValueError) as exc_info:
+        FrameRecord("c", 1, 0, **{field: entries + entries[:1]})
+    assert str(exc_info.value) == f"{field}: expected at most 256 entries, got 257"
 
 
 # Hypothesis fuzz: valid wire records, then keys dropped and values

@@ -21,9 +21,10 @@ from threatwatch.frames import DuplicateSampleId, EmptyManifest, MalformedJson, 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # The public names of the package, as listed by its __all__ before the
-# names were resolved lazily.
+# names were resolved lazily, less AlertPhase and report_from_json, which
+# only tests used.
 PUBLIC = """
-AdapterUnavailable AlertEvent AlertKind AlertPhase AlertState AlertTracker BadRatios BadScript
+AdapterUnavailable AlertEvent AlertKind AlertState AlertTracker BadRatios BadScript
 BoundingBox ClassReport ClassScores ConfusionMatrix DetectorBackend DuplicatePrediction
 DuplicateSampleId EmptyManifest EvalReport FrameClass FrameRecord FusionConfig GraspPair
 InstanceDetection KeypointKind Label MalformedJson ManifestEntry ManifestLabel ManifestStats
@@ -33,7 +34,7 @@ TemporalConfig ThreatAssessment ThreatLevel ThreatwatchError UnknownSample Unkno
 WebhookSink assess_frame associate_hand_knife classify_scores confusion_matrix flush
 is_overhand load_script make_splits new_state open_backend parse_frame_record
 parse_manifest_entry parse_prediction per_class_accuracy pose_gate read_manifest
-register_extern_adapter render_report report_from_json serialize_alert_event
+register_extern_adapter render_report serialize_alert_event
 serialize_assessment serialize_frame_record step synthesize validate_manifest
 """.split()
 

@@ -164,6 +164,22 @@ def test_missing_input_exits_2_and_leaves_out_untouched(tmp_path, monkeypatch, c
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_input_that_is_also_out_is_refused_untouched(tmp_path, monkeypatch, caplog, capsys, cpus):
+    data = b"".join(_line(i) + b"\n" for i in range(1, 40))
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(data)
+    (tmp_path / "link.jsonl").symlink_to(frames)
+    for source, out in ((str(frames), str(frames)), (f"jsonl:{frames}", str(frames)),
+                        (str(tmp_path / "link.jsonl"), str(frames)),
+                        (str(frames), str(tmp_path / "." / "frames.jsonl"))):
+        seen = _run(["score", "--input", source, "--out", out], monkeypatch, caplog, capsys,
+                    cpus, 300)
+        assert seen == (1, None, [], [f"error: input and output are the same file: {out}"])
+        assert frames.read_bytes() == data
+    assert multiprocessing.active_children() == []
+
+
 def test_unwritable_out_exits_2_and_closes_input(tmp_path, monkeypatch, caplog, capsys):
     # bad lines before and after the first frame: only those before it are
     # read ahead, and warned about, before --out fails to open
