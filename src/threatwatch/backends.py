@@ -221,23 +221,19 @@ class SyntheticBackend(DetectorBackend):
 class ReplayBackend(DetectorBackend):
     """Replays a recorded FrameRecord JSONL file, validating every line.
 
-    on_error "raise" propagates the first bad line; "skip" drops bad lines,
-    logging each one once, and counts them in .skipped. Nothing is opened
-    or read until frames() is iterated, and each line is parsed once per
-    pass. A path of "-" reads stdin (single pass); a file can be replayed
-    again.
+    strict propagates the first bad line; otherwise bad lines are dropped,
+    each logged once and counted in .skipped. Nothing is opened or read
+    until frames() is iterated, and each line is parsed once per pass. A
+    path of "-" reads stdin (single pass); a file can be replayed again.
     """
 
-    def __init__(self, path: str, on_error: str = "raise") -> None:
-        if on_error not in ("raise", "skip"):
-            raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    def __init__(self, path: str, strict: bool = True) -> None:
         self.path = path
-        self.on_error = on_error
+        self.strict = strict
         self.skipped = 0
 
     def frames(self) -> Iterator[FrameRecord]:
-        return read_lines(self.path, parse_frame_record,
-                          None if self.on_error == "raise" else self._skip)
+        return read_lines(self.path, parse_frame_record, None if self.strict else self._skip)
 
     def _skip(self, exc: ThreatwatchError) -> None:
         self.skipped += 1
@@ -253,14 +249,14 @@ def register_extern_adapter(name: str, factory: Callable[[str], DetectorBackend]
     _EXTERN_ADAPTERS[name] = factory
 
 
-def open_backend(uri: str, on_error: str = "raise") -> DetectorBackend:
+def open_backend(uri: str, strict: bool = True) -> DetectorBackend:
     """Resolve a backend URI: "synthetic:<script.json>", "jsonl:<path>"
     ("-" for stdin), or "extern:<adapter>[:arg]". Raises UnknownScheme for
     anything else and AdapterUnavailable for an unregistered adapter.
 
-    on_error is the ReplayBackend bad-line policy for "jsonl:": "raise"
-    stops at the first malformed or invalid line, "skip" logs, counts and
-    drops it. The other schemes do not read recorded lines and ignore it.
+    strict is the ReplayBackend bad-line policy for "jsonl:": True stops at
+    the first malformed or invalid line, False logs, counts and drops it.
+    The other schemes do not read recorded lines and ignore it.
     """
     scheme, sep, rest = uri.partition(":")
     if not sep:
@@ -268,7 +264,7 @@ def open_backend(uri: str, on_error: str = "raise") -> DetectorBackend:
     if scheme == "synthetic":
         return SyntheticBackend(load_script(rest))
     if scheme == REPLAY_SCHEME:
-        return ReplayBackend(rest, on_error)
+        return ReplayBackend(rest, strict)
     if scheme == "extern":
         name, _, arg = rest.partition(":")
         factory = _EXTERN_ADAPTERS.get(name)

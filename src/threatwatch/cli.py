@@ -167,13 +167,13 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _open_input(uri: str, on_error: str, out_path: str) -> DetectorBackend:
+def _open_input(uri: str, strict: bool, out_path: str) -> DetectorBackend:
     """The backend of --input; an input that is not a backend URI is read
     as a JSONL path. A JSONL input that is the out_path file is refused
     before either is opened: opening out_path would truncate it."""
     if not uri.startswith(_URI_PREFIXES):
         uri = f"{REPLAY_SCHEME}:{uri}"
-    backend = open_backend(uri, on_error)
+    backend = open_backend(uri, strict)
     if (isinstance(backend, backends.ReplayBackend) and "-" not in (backend.path, out_path)
             and os.path.exists(backend.path) and os.path.exists(out_path)
             and os.path.samefile(backend.path, out_path)):
@@ -268,7 +268,6 @@ def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig,
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    strict = backend.on_error == "raise"
     frames = 0
     with contextlib.ExitStack() as stack:
         chunks = stack.enter_context(contextlib.closing(read_chunks(backend.path, CHUNK_BYTES)))
@@ -279,7 +278,7 @@ def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig,
         def results() -> Iterator[tuple]:
             in_flight: collections.deque = collections.deque()
             for first_line_no, lines in chunks:
-                in_flight.append(pool.submit(score_lines, fusion_cfg, strict, first_line_no, lines))
+                in_flight.append(pool.submit(score_lines, fusion_cfg, backend.strict, first_line_no, lines))
                 if len(in_flight) > workers:
                     yield in_flight.popleft().result()
             while in_flight:
@@ -320,7 +319,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     fusion_cfg = _run_config(args).fusion
     frames = 0
     started = time.perf_counter()
-    backend = _open_input(args.input, "raise" if args.strict else "skip", args.out)
+    backend = _open_input(args.input, args.strict, args.out)
     workers = _score_workers(backend)
     if workers:
         frames = _score_in_workers(backend, fusion_cfg, args.out, workers)
@@ -359,7 +358,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         # import time and memory.
         from .webhook import WebhookSink
     started = time.perf_counter()
-    backend = _open_input(args.input, "skip", args.alerts)
+    backend = _open_input(args.input, False, args.alerts)
     with (_input_frames(backend) as records,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):

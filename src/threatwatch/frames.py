@@ -28,8 +28,8 @@ is read here: _open ("-" is stdin), one strict UTF-8 decode, then
 parse_lines (the one line loop, over _parse_line) or read_json (one
 document). read_lines feeds parse_lines a whole input; read_chunks cuts a
 file into numbered chunks of raw lines, which score's worker processes
-hand to parse_lines. Lines end at LF; a line that is not UTF-8 or not
-JSON is MalformedJson.
+hand to parse_lines. Lines end at LF; a line of more than JSON whitespace
+that is not UTF-8 or not JSON is MalformedJson.
 
 All types here are immutable value objects, and a value that exists is a
 valid one. The public constructors validate every invariant. The parser
@@ -442,13 +442,13 @@ def read_chunks(path: str, size: int) -> Iterator[tuple[int, list[bytes]]]:
 
 def parse_lines(lines: Iterable[bytes], first_line_no: int, parse: Callable[[str, int], _T],
                 on_bad: Callable[[ThreatwatchError], None] | None = None) -> Iterator[_T]:
-    """Yield parse(line, line_no) for each non-blank raw line, numbered
-    from first_line_no. A line that is not UTF-8 or that parse rejects
-    raises, or is handed to on_bad when given."""
+    """Yield parse(line, line_no) for each raw line that holds more than
+    JSON whitespace, numbered from first_line_no. A line that is not UTF-8
+    or that parse rejects raises, or is handed to on_bad when given."""
     for line_no, data in enumerate(lines, start=first_line_no):
         try:
             line = _utf8(data, line_no)
-            if line.strip():
+            if line.strip(" \t\r\n"):  # only JSON whitespace makes a line blank
                 yield parse(line, line_no)
         except (MalformedJson, SchemaViolation) as exc:
             if on_bad is None:

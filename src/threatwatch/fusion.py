@@ -158,56 +158,62 @@ def classify_scores(scores: ClassScores, cfg: FusionConfig) -> FrameClass:
     return top_class
 
 
+def _rises(hand_cy: float, knife_cy: float, cfg: FusionConfig) -> bool:
+    """is_overhand's rule on the two box center heights."""
+    return knife_cy - hand_cy >= cfg.epsilon_vert - GEOM_TOL
+
+
 def is_overhand(hand_box: BoundingBox, knife_box: BoundingBox, cfg: FusionConfig) -> bool:
     """True iff the hand center sits above the knife center by at least
     cfg.epsilon_vert (y grows downward). Horizontal offset is not checked;
-    association already bounds proximity. Equal centers are non-threatening.
-    """
-    return knife_box.center()[1] - hand_box.center()[1] >= cfg.epsilon_vert - GEOM_TOL
+    association already bounds proximity. Equal centers are non-threatening."""
+    return _rises(hand_box.center()[1], knife_box.center()[1], cfg)
 
 
+# (index, detection, box center) of a detection with conf >= tau_det.
+_Qualified = tuple[int, InstanceDetection, tuple[float, float]]
 # (distance, hand_idx, knife_idx, hand, knife, overhand)
 _Edge = tuple[float, int, int, InstanceDetection, InstanceDetection, bool]
 
 
-def _candidate_edges(
-    detections: tuple[InstanceDetection, ...] | list[InstanceDetection], cfg: FusionConfig
-) -> list[_Edge]:
+def _qualifying(detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
+                cfg: FusionConfig) -> tuple[list[_Qualified], list[_Qualified]]:
+    """The hands and the knives with conf >= cfg.tau_det, each in input order."""
+    hands: list[_Qualified] = []
+    knives: list[_Qualified] = []
+    for i, det in enumerate(detections):
+        if det.conf >= cfg.tau_det:
+            (hands if det.label is Label.HAND else knives).append((i, det, det.box.center()))
+    return hands, knives
+
+
+def _candidate_edges(hands: list[_Qualified], knives: list[_Qualified], cfg: FusionConfig) -> list[_Edge]:
     """All (distance, hand_idx, knife_idx, hand, knife, overhand) pairs of
     qualifying detections whose centers lie within cfg.delta_assoc of each
     other, in ascending (distance, hand_idx, knife_idx) order."""
-    hands = []
-    knives = []
-    tau = cfg.tau_det
-    for i, det in enumerate(detections):
-        if det.conf >= tau:
-            (hands if det.label is Label.HAND else knives).append((i, det, det.box.center()))
-    if not hands or not knives:
-        return []
     limit = cfg.delta_assoc + GEOM_TOL
     edges = []
     for hi, hand, (hcx, hcy) in hands:
         for ki, knife, (kcx, kcy) in knives:
             dist = math.hypot(kcx - hcx, kcy - hcy)
             if dist <= limit:
-                edges.append((dist, hi, ki, hand, knife, is_overhand(hand.box, knife.box, cfg)))
+                edges.append((dist, hi, ki, hand, knife, _rises(hcy, kcy, cfg)))
     # (hand_idx, knife_idx) is unique, so the sort never compares detections.
     edges.sort()
     return edges
 
 
-def _match(edges: list[_Edge]) -> list[GraspPair]:
+def _match(edges: list[_Edge]) -> list[_Edge]:
     """Greedy matching over sorted edges, each detection used at most once."""
     used_hands: set[int] = set()
     used_knives: set[int] = set()
-    pairs = []
-    for dist, hi, ki, hand, knife, overhand in edges:
-        if hi in used_hands or ki in used_knives:
-            continue
-        used_hands.add(hi)
-        used_knives.add(ki)
-        pairs.append(GraspPair(hand, knife, hi, ki, dist, overhand))
-    return pairs
+    matched = []
+    for edge in edges:
+        if edge[1] not in used_hands and edge[2] not in used_knives:
+            used_hands.add(edge[1])
+            used_knives.add(edge[2])
+            matched.append(edge)
+    return matched
 
 
 def associate_hand_knife(
@@ -220,14 +226,14 @@ def associate_hand_knife(
     ascending distance order (ties broken by lower hand index, then lower
     knife index, in input order) with each detection used at most once.
     """
-    return _match(_candidate_edges(detections, cfg))
+    edges = _candidate_edges(*_qualifying(detections, cfg), cfg)
+    return [GraspPair(hand, knife, hi, ki, dist, overhand)
+            for dist, hi, ki, hand, knife, overhand in _match(edges)]
 
 
-def pose_gate(
-    keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint],
-    detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
-    cfg: FusionConfig,
-) -> PoseEvidence:
+def pose_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint],
+              detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
+              cfg: FusionConfig) -> PoseEvidence:
     """Wrist proximity gate.
 
     NO_WRIST when no wrist keypoint clears cfg.tau_pose; WRIST_NEAR_KNIFE
@@ -235,24 +241,21 @@ def pose_gate(
     knife box center; WRIST_NO_KNIFE otherwise (a bare fist, the benign
     case a knife detector alone would confuse).
     """
-    wrists = [
-        kp for kp in keypoints if kp.conf >= cfg.tau_pose and kp.kind() is KeypointKind.WRIST
-    ]
+    return _wrist_gate(keypoints, _qualifying(detections, cfg)[1], cfg)
+
+
+def _wrist_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint], knives: list[_Qualified],
+                cfg: FusionConfig) -> PoseEvidence:
+    """pose_gate over the qualifying knives."""
+    wrists = [kp for kp in keypoints if kp.conf >= cfg.tau_pose and kp.kind() is KeypointKind.WRIST]
     if not wrists:
         return PoseEvidence.NO_WRIST
     limit = cfg.delta_wrist + GEOM_TOL
-    for det in detections:
-        if det.label is Label.KNIFE and det.conf >= cfg.tau_det:
-            kcx, kcy = det.box.center()
-            for kp in wrists:
-                if math.hypot(kp.x - kcx, kp.y - kcy) <= limit:
-                    return PoseEvidence.WRIST_NEAR_KNIFE
+    for _, _, (kcx, kcy) in knives:
+        for kp in wrists:
+            if math.hypot(kp.x - kcx, kp.y - kcy) <= limit:
+                return PoseEvidence.WRIST_NEAR_KNIFE
     return PoseEvidence.WRIST_NO_KNIFE
-
-
-def _clamp(value: float, band: tuple[float, float]) -> float:
-    lo, hi = band
-    return lo if value < lo else hi if value > hi else value
 
 
 def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
@@ -273,18 +276,18 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
     confidence (raising any conf never lowers the level, removing a
     detection never raises it).
 
-    Scores sit inside the level's band: OBJECT_PRESENT at 0.40 + 0.10 * c
-    (c = best qualifying knife conf, or the threat probability on the
-    classifier-only path), GRASPED at 0.70 + 0.10 * min pair conf over the
-    best pair, OVERHAND_THREAT at 0.90 + 0.10 * min pair conf over the best
-    overhand candidate, all clamped.
+    Each score is its band's floor + 0.10 * strength, in band by
+    construction since every strength lies in [0, 1]: the best qualifying
+    knife conf (or, classifier-only, the threat probability) for
+    OBJECT_PRESENT; the min pair conf of the best pair for GRASPED, or of
+    the best overhand candidate for OVERHAND_THREAT.
     """
-    detections = record.detections
-    edges = _candidate_edges(detections, cfg)
+    hands, knives = _qualifying(record.detections, cfg)
+    edges = _candidate_edges(hands, knives, cfg)
     if edges:
         # Every edge set yields at least one pair: GRASPED or above.
         pairs = _match(edges)
-        evidence = [f"pair:h{p.hand_index}-k{p.knife_index}{':overhand' if p.overhand else ''}" for p in pairs]
+        evidence = [f"pair:h{hi}-k{ki}{':overhand' if overhand else ''}" for _, hi, ki, _, _, overhand in pairs]
         # Best overhand candidate across all edges, matched or not: strongest
         # min conf, then lowest hand index, then lowest knife index.
         best_overhand = min(
@@ -293,36 +296,26 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
         )
         if best_overhand is None:
             level = ThreatLevel.GRASPED
-            strength = max(min(p.hand.conf, p.knife.conf) for p in pairs)
-            score = _clamp(0.70 + 0.10 * strength, SCORE_BANDS[level])
+            strength = max(min(hand.conf, knife.conf) for _, _, _, hand, knife, _ in pairs)
         else:
             level = ThreatLevel.OVERHAND_THREAT
             neg_strength, hi, ki = best_overhand
-            score = _clamp(0.90 + 0.10 * -neg_strength, SCORE_BANDS[level])
+            strength = -neg_strength
             winning_tag = f"pair:h{hi}-k{ki}:overhand"
             if winning_tag not in evidence:
                 evidence.append(winning_tag)
+    elif knives:
+        # max keeps the first of equally confident knives.
+        ki, knife, _ = max(knives, key=lambda q: q[1].conf)
+        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, knife.conf, [f"knife:k{ki}"]
+    elif record.scores is not None and classify_scores(record.scores, cfg) is FrameClass.THREAT:
+        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, record.scores.threat, ["classifier:threat"]
     else:
-        best_knife_conf = -1.0
-        best_knife_index = -1
-        tau = cfg.tau_det
-        for i, det in enumerate(detections):
-            if det.label is Label.KNIFE and det.conf >= tau and det.conf > best_knife_conf:
-                best_knife_conf = det.conf
-                best_knife_index = i
-        if best_knife_index >= 0:
-            level = ThreatLevel.OBJECT_PRESENT
-            score = _clamp(0.40 + 0.10 * best_knife_conf, SCORE_BANDS[level])
-            evidence = [f"knife:k{best_knife_index}"]
-        elif record.scores is not None and classify_scores(record.scores, cfg) is FrameClass.THREAT:
-            level = ThreatLevel.OBJECT_PRESENT
-            score = _clamp(0.40 + 0.10 * record.scores.threat, SCORE_BANDS[level])
-            evidence = ["classifier:threat"]
-        else:
-            return ThreatAssessment(record.stream_id, record.frame_id, ThreatLevel.NONE, 0.0, ())
+        return ThreatAssessment(record.stream_id, record.frame_id, ThreatLevel.NONE, 0.0, ())
 
     if record.keypoints:
-        evidence.append(f"pose:{pose_gate(record.keypoints, detections, cfg).value}")
+        evidence.append(f"pose:{_wrist_gate(record.keypoints, knives, cfg).value}")
+    score = SCORE_BANDS[level][0] + 0.10 * strength
     return ThreatAssessment(record.stream_id, record.frame_id, level, score, tuple(evidence))
 
 

@@ -4,7 +4,8 @@ Delivery must never block or crash the watch loop: events are handed to a
 bounded queue serviced by one daemon thread, which POSTs each event as
 JSON and retries once on failure. Anything that still fails is logged and
 dropped. When the queue is full the newest event is dropped (and counted)
-rather than stalling ingest.
+rather than stalling ingest, and close() gives up on a hung endpoint
+after CLOSE_WAIT_S, counting what it leaves undelivered as dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import http.client
 import logging
 import queue
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -21,6 +23,12 @@ from .alerts import AlertEvent, serialize_alert_event
 logger = logging.getLogger(__name__)
 
 _STOP = object()
+# Seconds each POST attempt may take.
+TIMEOUT_S = 2.0
+# Events the queue holds; send() drops any beyond.
+MAX_QUEUE = 1000
+# Seconds close() waits for the queue to drain.
+CLOSE_WAIT_S = 30.0
 
 
 class WebhookSink:
@@ -28,21 +36,28 @@ class WebhookSink:
 
     send() enqueues and returns immediately; close() stops the worker
     after draining whatever is queued. Failures are logged, never raised.
+    After close(), delivered + failed + dropped is the number of send()
+    calls.
     """
 
-    def __init__(self, url: str, timeout: float = 2.0, max_queue: int = 1000) -> None:
+    def __init__(self, url: str) -> None:
         self.url = url
-        self.timeout = timeout
         self.dropped = 0
         self.delivered = 0
         self.failed = 0
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        self._sent = 0
+        # Guards delivered and failed against close() giving up on the
+        # worker; once it has, the worker counts nothing more.
+        self._lock = threading.Lock()
+        self._abandoned = False
+        self._queue: queue.Queue = queue.Queue(maxsize=MAX_QUEUE)
         self._worker = threading.Thread(
             target=self._run, name="threatwatch-webhook", daemon=True
         )
         self._worker.start()
 
     def send(self, event: AlertEvent) -> None:
+        self._sent += 1
         try:
             self._queue.put_nowait(event)
         except queue.Full:
@@ -51,10 +66,25 @@ class WebhookSink:
                            event.kind.value, event.alert_id)
 
     def close(self) -> None:
-        """Drain the queue and stop the worker. Safe to call twice."""
+        """Drain the queue and stop the worker, waiting at most
+        CLOSE_WAIT_S; events still queued or in flight then count as
+        dropped, and the worker stops after its current POST. Safe to call
+        twice."""
+        if self._abandoned or not self._worker.is_alive():
+            return
+        deadline = time.monotonic() + CLOSE_WAIT_S
+        try:
+            self._queue.put(_STOP, timeout=CLOSE_WAIT_S)
+        except queue.Full:
+            pass
+        self._worker.join(max(0.0, deadline - time.monotonic()))
         if self._worker.is_alive():
-            self._queue.put(_STOP)
-            self._worker.join()
+            with self._lock:
+                self._abandoned = True
+                left = self._sent - self.delivered - self.failed - self.dropped
+                self.dropped += left
+            logger.warning("webhook close gave up after %s s, dropping %d undelivered events",
+                           CLOSE_WAIT_S, left)
 
     def __enter__(self) -> "WebhookSink":
         return self
@@ -68,21 +98,22 @@ class WebhookSink:
             if item is _STOP:
                 return
             body = serialize_alert_event(item).encode()
-            ok = self._post(body)
-            if not ok:
-                ok = self._post(body)
-            if ok:
-                self.delivered += 1
-            else:
-                self.failed += 1
-                logger.warning("webhook delivery failed twice for %s", item.alert_id)
+            ok = self._post(body) or self._post(body)
+            with self._lock:
+                if self._abandoned:
+                    return
+                if ok:
+                    self.delivered += 1
+                else:
+                    self.failed += 1
+                    logger.warning("webhook delivery failed twice for %s", item.alert_id)
 
     def _post(self, body: bytes) -> bool:
         request = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                 return 200 <= response.status < 300
         except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException):
             # HTTPException: a reply that is not HTTP, which urlopen

@@ -167,11 +167,11 @@ def test_replay_backend_round_trip(tmp_path):
 def test_replay_skip_counts_bad_lines(tmp_path):
     good = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
     path = _write_jsonl(tmp_path, "mixed.jsonl", [good, "{broken", good.replace('"frame_id":1', '"frame_id":2')])
-    backend = ReplayBackend(path, on_error="skip")
+    backend = ReplayBackend(path, strict=False)
     assert [r.frame_id for r in backend.frames()] == [1, 2]
     assert backend.skipped == 1
 
-    strict = ReplayBackend(path, on_error="raise")
+    strict = ReplayBackend(path, strict=True)
     with pytest.raises(MalformedJson) as exc_info:
         list(strict.frames())
     assert exc_info.value.line_no == 2
@@ -181,17 +181,12 @@ def test_replay_bad_leading_line_warns_once(tmp_path, caplog):
     good = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
     path = _write_jsonl(tmp_path, "lead.jsonl", ["{broken", good])
     with caplog.at_level(logging.WARNING, logger="threatwatch.backends"):
-        backend = ReplayBackend(path, on_error="skip")
+        backend = ReplayBackend(path, strict=False)
         assert [r.frame_id for r in backend.frames()] == [1]
     warnings = [r for r in caplog.records if r.name == "threatwatch.backends"]
     assert len(warnings) == 1
     assert "line 1" in warnings[0].getMessage()
     assert backend.skipped == 1
-
-
-def test_replay_rejects_unknown_mode(tmp_path):
-    with pytest.raises(ValueError):
-        ReplayBackend("whatever.jsonl", on_error="ignore")
 
 
 def test_open_backend_schemes(tmp_path):

@@ -163,8 +163,13 @@ def test_score_skips_bad_lines_by_default(tmp_path, capsys):
     (json.dumps({"stream_id": "c", "frame_id": 2, "ts_ms": 33, "keypoints": [
         {"name": "wrist", "x": 0.5, "y": 0.4, "conf": 0.8}] * 257}).encode(),
      "line 2: $.keypoints: expected at most 256 entries, got 257"),
+    # str.strip() clears these, but none is JSON whitespace: not blank lines
+    (b"\x0c", "line 2: malformed JSON: "),
+    ("\x85".encode(), "line 2: malformed JSON: "),
+    (b"\x1c", "line 2: malformed JSON: "),
 ], ids=["number_beyond_float", "integer_beyond_digit_limit", "nesting_beyond_recursion_limit",
-        "byte_not_utf8", "detections_beyond_limit", "keypoints_beyond_limit"])
+        "byte_not_utf8", "detections_beyond_limit", "keypoints_beyond_limit",
+        "form_feed_line", "next_line_line", "file_separator_line"])
 def test_hostile_line_is_skipped_not_fatal(tmp_path, capsys, monkeypatch, bad, strict_error):
     data = b'{"stream_id":"c","frame_id":1,"ts_ms":0}\n' + bad + b'\n{"stream_id":"c","frame_id":3,"ts_ms":66}\n'
     frames = tmp_path / "frames.jsonl"

@@ -264,6 +264,25 @@ def test_assess_score_in_band_for_conf_one():
     assert a.score == 1.0
 
 
+@pytest.mark.parametrize("conf, knife_only, grasped, overhand", [
+    (0.0, 0.4, 0.7, 0.9),
+    (1.0, 0.5, 0.7999999999999999, 1.0),
+])
+def test_assess_scores_at_band_floor_and_top(conf, knife_only, grasped, overhand):
+    # Each score is exactly its band's floor + 0.10 * strength; conf 0 and 1
+    # are the extremes of a strength in [0, 1].
+    cfg = FusionConfig(tau_det=0.0)
+    cases = [
+        ([knife(0.45, 0.40, conf=conf)], ThreatLevel.OBJECT_PRESENT, knife_only),
+        ([hand(0.40, 0.40, conf=conf), knife(0.45, 0.40, conf=conf)], ThreatLevel.GRASPED, grasped),
+        ([hand(0.45, 0.25, conf=conf), knife(0.45, 0.40, conf=conf)], ThreatLevel.OVERHAND_THREAT, overhand),
+    ]
+    for dets, level, score in cases:
+        a = assess_frame(record(detections=dets), cfg)
+        assert (a.level, a.score) == (level, score)
+        assert SCORE_BANDS[level][0] <= a.score <= SCORE_BANDS[level][1]
+
+
 def test_assess_translation_invariance():
     base = [hand(0.30, 0.20), knife(0.35, 0.40)]
     moved = [hand(0.50, 0.45), knife(0.55, 0.65)]

@@ -1,6 +1,7 @@
 """The package surface: public names, what an import loads, the module
 entry point, and errors that cross a process boundary."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -73,6 +74,21 @@ def test_importing_a_submodule_loads_no_http_client():
                    " if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted((SRC / "threatwatch").glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: import {name}"
 
 
 def test_importing_main_module_runs_nothing():

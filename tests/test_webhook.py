@@ -7,6 +7,9 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import pytest
+
+from threatwatch import webhook
 from threatwatch.alerts import AlertEvent, AlertKind, serialize_alert_event
 from threatwatch.cli import main
 from threatwatch.fusion import ThreatLevel
@@ -84,16 +87,19 @@ def test_double_failure_is_counted_not_raised():
         server.server_close()
 
 
-def test_unreachable_host_never_raises():
+def test_unreachable_host_never_raises(monkeypatch):
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 0.2)
     # port 9 (discard) is not listening on loopback; connect fails fast
-    with WebhookSink("http://127.0.0.1:9/hook", timeout=0.2) as sink:
+    with WebhookSink("http://127.0.0.1:9/hook") as sink:
         sink.send(EVENT)
     assert sink.failed == 1
     assert sink.delivered == 0
 
 
-def test_send_does_not_block_on_full_queue():
-    with WebhookSink("http://127.0.0.1:9/hook", timeout=0.2, max_queue=1) as sink:
+def test_send_does_not_block_on_full_queue(monkeypatch):
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 0.2)
+    monkeypatch.setattr(webhook, "MAX_QUEUE", 1)
+    with WebhookSink("http://127.0.0.1:9/hook") as sink:
         started = time.perf_counter()
         for _ in range(50):
             sink.send(EVENT)
@@ -164,3 +170,31 @@ def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
         assert not server.is_alive()
     assert uncaught == []
     assert (sink.delivered, sink.failed, sink.dropped) == (0, 5, 0)
+
+
+@pytest.mark.parametrize("max_queue", [1000, 1], ids=["room_for_stop", "stop_waits_for_room"])
+def test_close_gives_up_on_a_hung_endpoint(monkeypatch, max_queue):
+    # The listener never accepts: connections wait in its backlog unanswered,
+    # so every attempt runs to TIMEOUT_S and 10 events would take 4 s to fail.
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 0.2)
+    monkeypatch.setattr(webhook, "CLOSE_WAIT_S", 0.5)
+    monkeypatch.setattr(webhook, "MAX_QUEUE", max_queue)
+    with socket.create_server(("127.0.0.1", 0), backlog=16) as listener:
+        sink = WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook")
+        for _ in range(10):
+            sink.send(EVENT)
+        started = time.perf_counter()
+        sink.close()
+        elapsed = time.perf_counter() - started
+        counts = (sink.delivered, sink.failed, sink.dropped)
+        started = time.perf_counter()
+        sink.close()  # a second close returns at once
+        assert time.perf_counter() - started < 0.1
+    # Closing the listener fails the abandoned worker's POST at once.
+    sink._worker.join(timeout=5)
+    assert not sink._worker.is_alive()
+    assert elapsed < 0.5 + 1.0
+    assert sum(counts) == 10
+    assert counts[2] >= 8
+    # The worker counts nothing after close() gave up on it.
+    assert (sink.delivered, sink.failed, sink.dropped) == counts
