@@ -15,10 +15,13 @@ success, 1 domain or validation error, 2 I/O error. score and watch end
 with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
-score scores a JSONL file of POOL_MIN_CHUNKS chunks (CHUNK_BYTES) or more
-in a pool of spawned worker processes, min(usable CPUs, chunks) of them,
-when two or more CPUs are usable; the output, warnings, counts and errors
-are those of the one-process loop, which runs everything else.
+score scores a large JSONL file in a pool of worker processes,
+min(usable CPUs, chunks) of them, when two or more CPUs are usable; the
+output, warnings, counts and errors are those of the one-process loop,
+which runs everything else. On Linux under Python 3.11 or later, a
+process with one thread forks the workers, from 2 MiB (POOL_MIN_CHUNKS
+chunks of CHUNK_BYTES); everywhere else they are spawned, from 8 MiB, and
+a script that calls main must do so under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import logging
 import os
 import stat
 import sys
+import threading
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ContextManager, Iterator, TextIO
@@ -225,20 +229,36 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 # Bytes of raw lines per chunk that score hands a worker process.
 CHUNK_BYTES = 256 * 1024
-# The fewest chunks that score runs in worker processes. Starting the pool
-# costs about 0.3 s, which a smaller file does not win back: on 2 CPUs,
-# prefixes of the replay-score benchmark input scored faster in one
-# process up to 4 MiB, tied at 5-6 MiB and were faster in the pool from
-# 7 MiB (11 of 11 runs).
-POOL_MIN_CHUNKS = 32
+# The fewest chunks that score runs in worker processes, by the pool's
+# start method; a smaller file does not win back the pool's start-up. On
+# 2 CPUs, line-aligned prefixes of the replay-score benchmark input, in
+# alternating one-process and pool runs:
+# - fork (first result after about 0.06 s): the pool won 5 of 18 runs at
+#   1 and at 1.5 MiB, 13 of 18 at 2 MiB (6% faster in the median), 16 of
+#   18 at 3 MiB and every run from 4 MiB.
+# - spawn (first result after about 0.27 s): one process was faster up
+#   to 4 MiB, tied at 5-6 MiB, and the pool won from 7 MiB (11 of 11).
+POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
 
 
-def _score_workers(backend: DetectorBackend) -> int:
-    """How many worker processes score backend's frames: for a JSONL
-    replay of a regular file of POOL_MIN_CHUNKS chunks or more,
-    min(CPUs, chunks) when this process may use two CPUs or more;
-    otherwise 0, and score runs in this process. Where the OS does not
-    report which CPUs the process may use, all of them count."""
+def _pool_start_method() -> str:
+    """How score starts its worker processes: "fork" on Linux under Python
+    3.11 or later while this process runs one thread, else "spawn".
+    Forking a process that holds threads can deadlock the child; macOS's
+    system libraries are unsafe across fork; and before 3.11 the pool may
+    fork a worker after its manager thread has started."""
+    if sys.platform == "linux" and sys.version_info >= (3, 11) and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+def _score_workers(backend: DetectorBackend, method: str) -> int:
+    """How many worker processes score backend's frames when they start
+    by method: for a JSONL replay of a regular file of
+    POOL_MIN_CHUNKS[method] chunks or more, min(CPUs, chunks) when this
+    process may use two CPUs or more; otherwise 0, and score runs in this
+    process. Where the OS does not report which CPUs the process may use,
+    all of them count."""
     if not isinstance(backend, backends.ReplayBackend) or backend.path == "-":
         return 0
     try:
@@ -246,7 +266,7 @@ def _score_workers(backend: DetectorBackend) -> int:
     except OSError:
         return 0  # the one-process path reports it
     chunks = -(-info.st_size // CHUNK_BYTES)
-    if not stat.S_ISREG(info.st_mode) or chunks < POOL_MIN_CHUNKS:
+    if not stat.S_ISREG(info.st_mode) or chunks < POOL_MIN_CHUNKS[method]:
         return 0
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -254,10 +274,14 @@ def _score_workers(backend: DetectorBackend) -> int:
 
 
 def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig, out_path: str,
-                      workers: int) -> int:
-    """Score backend's file in a pool of worker processes, each running
-    fusion.score_lines on a chunk of raw lines, and write the results in
-    input order; returns the frame count. Output, warnings, skipped count
+                      workers: int, method: str) -> int:
+    """Score backend's file in a pool of worker processes started by
+    method, each running fusion.score_lines on a chunk of raw lines, and
+    write the results in input order; returns the frame count. Forked
+    workers share the parent's imported modules and start no resource
+    tracker: on the 10 MB replay-score input, three processes peak at
+    about 57 MB RSS (30 MB PSS), against 76 MB (54 MB) for the four of a
+    spawned pool and 17 MB for one process. Output, warnings, skipped count
     and --strict behave as in one process: bad lines are logged in line
     order, out opens at the first frame, and under --strict the text
     before the first bad line is written before its error is raised. At
@@ -271,7 +295,7 @@ def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig,
     frames = 0
     with contextlib.ExitStack() as stack:
         chunks = stack.enter_context(contextlib.closing(read_chunks(backend.path, CHUNK_BYTES)))
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
         # Unstarted chunks are cancelled when the run stops early.
         stack.callback(pool.shutdown, cancel_futures=True)
 
@@ -320,9 +344,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     frames = 0
     started = time.perf_counter()
     backend = _open_input(args.input, args.strict, args.out)
-    workers = _score_workers(backend)
+    method = _pool_start_method()
+    workers = _score_workers(backend, method)
     if workers:
-        frames = _score_in_workers(backend, fusion_cfg, args.out, workers)
+        frames = _score_in_workers(backend, fusion_cfg, args.out, workers, method)
     else:
         with _input_frames(backend) as records, _out_stream(args.out) as out:
             write = out.write
