@@ -15,12 +15,15 @@ success, 1 domain or validation error, 2 I/O error. score and watch end
 with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
-score scores a large JSONL file in a pool of worker processes,
-min(usable CPUs, chunks) of them, when two or more CPUs are usable; the
-output, warnings, counts and errors are those of the one-process loop,
-which runs everything else. On Linux under Python 3.11 or later, a
-process with one thread forks the workers, from 2 MiB (POOL_MIN_CHUNKS
-chunks of CHUNK_BYTES); everywhere else they are spawned, from 8 MiB, and
+score and watch parse and assess a large JSONL file in a pool of worker
+processes, min(usable CPUs, chunks) of them, when two or more CPUs are
+usable; the parent hands each worker a byte range of the file, writes
+score's results in input order and steps watch's alert tracker over them
+in input order, so the output, warnings, counts and errors are those of
+the one-process loop, which runs everything else. On Linux under Python
+3.11 or later, a process with one thread forks the workers, from 2 MiB
+(POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them before its
+webhook thread starts; everywhere else they are spawned, from 8 MiB, and
 a script that calls main must do so under `if __name__ == "__main__":`.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -38,7 +42,7 @@ import sys
 import threading
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from typing import ContextManager, Iterator, TextIO
+from typing import Callable, ContextManager, Iterator, TextIO
 
 # ReplayBackend is named only as backends.ReplayBackend: perfbench's tracer
 # wraps a cli.ReplayBackend as a function when there is one.
@@ -60,9 +64,10 @@ from .evaluation import (
     per_class_accuracy,
     render_report,
 )
-from .frames import (FrameRecord, MalformedJson, read_chunks, read_json, read_lines, read_manifest,
+from .frames import (FrameRecord, MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
-from .fusion import FusionConfig, assess_frame, score_lines, serialize_assessment
+from .fusion import (FusionConfig, ThreatAssessment, ThreatLevel, assess_frame, assess_span,
+                     serialize_assessment)
 
 logger = logging.getLogger(__name__)
 
@@ -227,38 +232,49 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-# Bytes of raw lines per chunk that score hands a worker process.
+# Bytes of raw lines per chunk that score and watch hand a worker process.
 CHUNK_BYTES = 256 * 1024
-# The fewest chunks that score runs in worker processes, by the pool's
-# start method; a smaller file does not win back the pool's start-up. On
-# 2 CPUs, line-aligned prefixes of the replay-score benchmark input, in
-# alternating one-process and pool runs:
+# The fewest chunks that score and watch run in worker processes, by the
+# pool's start method; a smaller file does not win back the pool's
+# start-up. On 2 CPUs, line-aligned prefixes of the replay-score
+# benchmark input, in alternating one-process and pool runs of score:
 # - fork (first result after about 0.06 s): the pool won 5 of 18 runs at
 #   1 and at 1.5 MiB, 13 of 18 at 2 MiB (6% faster in the median), 16 of
 #   18 at 3 MiB and every run from 4 MiB.
 # - spawn (first result after about 0.27 s): one process was faster up
 #   to 4 MiB, tied at 5-6 MiB, and the pool won from 7 MiB (11 of 11).
+# watch, on prefixes of the replay-watch benchmark input with its webhook
+# (the last two sizes append a second seed's input), alternating again:
+# - fork: the pool won 6 of 12 runs at 1 MiB, 10 of 12 at 1.5 and at
+#   2 MiB (14% faster in the median), 9 of 12 at 3 MiB, 11 of 12 at 4.
+# - spawn: the pool tied with one process from 4 to 14 MiB (5-6 of 10
+#   runs at 4-10 MiB, 6 of 8 at 14, medians within 10%) and won at
+#   21 MiB (7 of 8, 21% faster). Between 8 and 21 MiB a spawned watch pool costs memory
+#   and CPU time for no gain on 2 CPUs; more CPUs win sooner.
 POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
+
+# The levels by value, as assess_span ships them.
+_LEVELS = tuple(ThreatLevel)
 
 
 def _pool_start_method() -> str:
-    """How score starts its worker processes: "fork" on Linux under Python
-    3.11 or later while this process runs one thread, else "spawn".
-    Forking a process that holds threads can deadlock the child; macOS's
-    system libraries are unsafe across fork; and before 3.11 the pool may
-    fork a worker after its manager thread has started."""
+    """How score and watch start their worker processes: "fork" on Linux
+    under Python 3.11 or later while this process runs one thread, else
+    "spawn". Forking a process that holds threads can deadlock the child;
+    macOS's system libraries are unsafe across fork; and before 3.11 the
+    pool may fork a worker after its manager thread has started."""
     if sys.platform == "linux" and sys.version_info >= (3, 11) and threading.active_count() == 1:
         return "fork"
     return "spawn"
 
 
-def _score_workers(backend: DetectorBackend, method: str) -> int:
-    """How many worker processes score backend's frames when they start
-    by method: for a JSONL replay of a regular file of
+def _pool_workers(backend: DetectorBackend, method: str) -> int:
+    """How many worker processes score or watch backend's frames when they
+    start by method: for a JSONL replay of a regular file of
     POOL_MIN_CHUNKS[method] chunks or more, min(CPUs, chunks) when this
-    process may use two CPUs or more; otherwise 0, and score runs in this
-    process. Where the OS does not report which CPUs the process may use,
-    all of them count."""
+    process may use two CPUs or more; otherwise 0, and the command runs in
+    this process. Where the OS does not report which CPUs the process may
+    use, all of them count."""
     if not isinstance(backend, backends.ReplayBackend) or backend.path == "-":
         return 0
     try:
@@ -273,60 +289,84 @@ def _score_workers(backend: DetectorBackend, method: str) -> int:
     return min(cpus, chunks) if cpus >= 2 else 0
 
 
-def _score_in_workers(backend: backends.ReplayBackend, fusion_cfg: FusionConfig, out_path: str,
-                      workers: int, method: str) -> int:
-    """Score backend's file in a pool of worker processes started by
-    method, each running fusion.score_lines on a chunk of raw lines, and
-    write the results in input order; returns the frame count. Forked
-    workers share the parent's imported modules and start no resource
-    tracker: on the 10 MB replay-score input, three processes peak at
-    about 57 MB RSS (30 MB PSS), against 76 MB (54 MB) for the four of a
-    spawned pool and 17 MB for one process. Output, warnings, skipped count
-    and --strict behave as in one process: bad lines are logged in line
-    order, out opens at the first frame, and under --strict the text
-    before the first bad line is written before its error is raised. At
-    most workers + 1 chunks are in flight."""
+@contextlib.contextmanager
+def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple], workers: int,
+                   method: str, command: str) -> Iterator[Iterator[tuple]]:
+    """assess(path, offset, nbytes, first_line_no), a picklable
+    fusion.assess_span with its leading arguments bound, over backend's
+    file, one span of CHUNK_BYTES at a time, in a pool of workers
+    processes started by method: the spans' (frames, count, bad) in input
+    order, read ahead to the first frame as _input_frames reads, so a
+    caller opens its output after that. The bad lines before the first
+    frame are logged on the way; each later one is left in bad, as
+    (frames before it in its span, exception), for the caller to log in
+    line order. Under --strict, the span that holds the
+    first bad line is followed by its error. At most workers + 1 spans are
+    in flight, and those not started are cancelled on exit. The parent
+    hands each worker a byte range, never lines, and a worker that dies
+    ends the run with one error, which names the command.
+
+    Forked workers share the parent's imported modules and start no
+    resource tracker: on the 10 MB replay-score input, three processes
+    peak at about 57 MB RSS (30 MB PSS), against 76 MB (54 MB) for the
+    four of a spawned pool and 17 MB for one process."""
     # Only this path needs the pool, so the one-process runs do not pay
     # for importing it.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    frames = 0
-    with contextlib.ExitStack() as stack:
-        chunks = stack.enter_context(contextlib.closing(read_chunks(backend.path, CHUNK_BYTES)))
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-        # Unstarted chunks are cancelled when the run stops early.
-        stack.callback(pool.shutdown, cancel_futures=True)
-
-        def results() -> Iterator[tuple]:
-            in_flight: collections.deque = collections.deque()
-            for first_line_no, lines in chunks:
-                in_flight.append(pool.submit(score_lines, fusion_cfg, backend.strict, first_line_no, lines))
-                if len(in_flight) > workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
+    def results() -> Iterator[tuple]:
+        in_flight: collections.deque = collections.deque()
+        for span in spans:
+            in_flight.append(pool.submit(assess, backend.path, *span))
+            if len(in_flight) > workers:
                 yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
 
-        out = None
+    def chunks() -> Iterator[tuple]:
+        leading = True  # no frame yet
         try:
-            for text, count, lead, bad, fatal in results():
-                for exc in bad[:lead]:
-                    backend._skip(exc)
-                if out is None and count:
-                    out = stack.enter_context(_out_stream(out_path))
-                for exc in bad[lead:]:
-                    backend._skip(exc)
-                if count:
-                    out.write(text)
-                frames += count
+            for frames, count, bad, fatal in results():
+                if leading:
+                    lead = sum(1 for before, _ in bad if not before)
+                    for _, exc in bad[:lead]:
+                        backend._skip(exc)
+                    bad = bad[lead:]
+                    leading = not count
+                if not leading:
+                    yield frames, count, bad
                 if fatal is not None:
                     raise fatal
         except BrokenProcessPool as exc:
-            raise ThreatwatchError(f"a score worker process died: {exc}") from None
-        if out is None:
-            stack.enter_context(_out_stream(out_path))
-    return frames
+            raise ThreatwatchError(f"a {command} worker process died: {exc}") from None
+
+    with contextlib.ExitStack() as stack:
+        spans = stack.enter_context(contextlib.closing(chunk_spans(backend.path, CHUNK_BYTES)))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+        stack.callback(pool.shutdown, cancel_futures=True)
+        ordered = chunks()
+        first = next(ordered, None)
+        yield ordered if first is None else itertools.chain((first,), ordered)
+
+
+def _pooled_frames(chunks: Iterator[tuple], backend: backends.ReplayBackend
+                   ) -> Iterator[tuple[ThreatAssessment, int]]:
+    """Each frame of watch's worker chunks as (assessment, ts_ms) in input
+    order, with each bad line logged at its place among them."""
+    for columns, count, bad in chunks:
+        rows = zip(*columns)
+        start = 0
+        for before, exc in (*bad, (count, None)):
+            for stream_id, frame_id, ts_ms, level, score in itertools.islice(rows, before - start):
+                # No evidence, even above NONE: the workers do not ship it,
+                # and AlertTracker.feed reads none. These assessments differ
+                # from assess_frame's there, so nothing else may read them.
+                yield ThreatAssessment(stream_id, frame_id, _LEVELS[level], score, ()), ts_ms
+            if exc is not None:
+                backend._skip(exc)
+            start = before
 
 
 def _print_summary(started: float, frames: int, backend: DetectorBackend, **counts: int) -> None:
@@ -345,9 +385,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     backend = _open_input(args.input, args.strict, args.out)
     method = _pool_start_method()
-    workers = _score_workers(backend, method)
+    workers = _pool_workers(backend, method)
     if workers:
-        frames = _score_in_workers(backend, fusion_cfg, args.out, workers, method)
+        assess = functools.partial(assess_span, fusion_cfg, backend.strict, False)
+        with (_worker_chunks(backend, assess, workers, method, args.command) as chunks,
+              _out_stream(args.out) as out):
+            for text, count, bad in chunks:
+                for _, exc in bad:
+                    backend._skip(exc)
+                out.write(text)
+                frames += count
     else:
         with _input_frames(backend) as records, _out_stream(args.out) as out:
             write = out.write
@@ -368,12 +415,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
     raised = 0
     events = 0
 
-    def alert_events(records: Iterator[FrameRecord]) -> Iterator[AlertEvent]:
+    def alert_events(assessed: Iterator[tuple[ThreatAssessment, int]]) -> Iterator[AlertEvent]:
         """Each frame's event, then the Cleared events of the final flush."""
         nonlocal frames
-        for record in records:
+        for assessment, ts_ms in assessed:
             frames += 1
-            event = tracker.feed(assess_frame(record, fusion_cfg), record.ts_ms)
+            event = tracker.feed(assessment, ts_ms)
             if event is not None:
                 yield event
         yield from tracker.flush_all()
@@ -384,10 +431,18 @@ def cmd_watch(args: argparse.Namespace) -> int:
         from .webhook import WebhookSink
     started = time.perf_counter()
     backend = _open_input(args.input, False, args.alerts)
-    with (_input_frames(backend) as records,
+    # The pool's first spans are submitted, which forks its workers, before
+    # the sink starts its thread.
+    method = _pool_start_method()
+    workers = _pool_workers(backend, method)
+    with (_worker_chunks(backend, functools.partial(assess_span, fusion_cfg, backend.strict, True),
+                         workers, method, args.command) if workers
+          else _input_frames(backend) as source,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
-        for event in alert_events(records):
+        assessed = (_pooled_frames(source, backend) if workers
+                    else ((assess_frame(record, fusion_cfg), record.ts_ms) for record in source))
+        for event in alert_events(assessed):
             events += 1
             if event.kind is AlertKind.RAISED:
                 raised += 1

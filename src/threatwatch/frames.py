@@ -26,10 +26,11 @@ with label one of "threat" | "no_threat" | "hand".
 Every outside input, frames, manifests, predictions, scripts and config,
 is read here: _open ("-" is stdin), one strict UTF-8 decode, then
 parse_lines (the one line loop, over _parse_line) or read_json (one
-document). read_lines feeds parse_lines a whole input; read_chunks cuts a
-file into numbered chunks of raw lines, which score's worker processes
-hand to parse_lines. Lines end at LF; a line of more than JSON whitespace
-that is not UTF-8 or not JSON is MalformedJson.
+document). read_lines feeds parse_lines a whole input; chunk_spans cuts a
+file into line-aligned byte spans, and read_span reads one back for
+parse_lines in the worker processes of score and watch. Lines end at LF;
+a line of more than JSON whitespace that is not UTF-8 or not JSON is
+MalformedJson.
 
 All types here are immutable value objects, and a value that exists is a
 valid one. The public constructors validate every invariant. The parser
@@ -42,6 +43,7 @@ both paths call. Parsing is stateless and reentrant.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -428,16 +430,27 @@ def read_lines(path: str, parse: Callable[[str, int], _T],
         yield from parse_lines(fh, 1, parse, on_bad)
 
 
-def read_chunks(path: str, size: int) -> Iterator[tuple[int, list[bytes]]]:
-    """The raw lines at path ("-" = stdin) in chunks of whole lines of at
-    least size bytes (the last may be shorter), each with the number of its
-    first line, counted from 1. Lines split as in read_lines; hand each
-    chunk to parse_lines."""
-    with _open(path) as fh:
-        line_no = 1
-        while lines := fh.readlines(size):
-            yield line_no, lines
-            line_no += len(lines)
+def chunk_spans(path: str, size: int) -> Iterator[tuple[int, int, int]]:
+    """The file at path cut into spans of whole lines of at least size
+    bytes (the last may be shorter), as (offset, nbytes, first_line_no),
+    lines counted from 1 and ended at LF as in read_lines. The file is read
+    once, a block at a time; read_span reads a span's lines back."""
+    with open(path, "rb") as fh:
+        offset, line_no = 0, 1
+        while data := fh.read(size):
+            if not data.endswith(b"\n"):
+                data += fh.readline()  # the rest of the line; only the last has no LF
+            yield offset, len(data), line_no
+            offset += len(data)
+            line_no += data.count(b"\n")
+
+
+def read_span(path: str, offset: int, nbytes: int) -> list[bytes]:
+    """The raw lines of the span of nbytes at offset in the file at path,
+    split as in read_lines; hand them to parse_lines."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        return io.BytesIO(fh.read(nbytes)).readlines()
 
 
 def parse_lines(lines: Iterable[bytes], first_line_no: int, parse: Callable[[str, int], _T],

@@ -14,9 +14,9 @@ ThreatAssessment:
 
 Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. Everything here is pure and
-stateless; frames can be assessed in parallel in any order. score_lines
-does so for the worker processes of `score`: it scores one chunk of raw
-JSONL lines, and imports nothing beyond this module and frames.
+stateless; frames can be assessed in parallel in any order. assess_span
+does so for the worker processes of `score` and `watch`: it assesses one
+span of a JSONL file, and imports nothing beyond this module and frames.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
-                     MalformedJson, PoseKeypoint, SchemaViolation, parse_frame_record, parse_lines)
+                     MalformedJson, PoseKeypoint, SchemaViolation, parse_frame_record, parse_lines,
+                     read_span)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -122,8 +123,10 @@ class ThreatAssessment:
 
     The score always lies inside the band of its level; evidence is a list
     of compact tags naming what contributed (pairs, the triggering knife,
-    the classifier verdict, the pose gate outcome) and is non-empty whenever
-    level is above NONE.
+    the classifier verdict, the pose gate outcome). In every assessment
+    that assess_frame returns, evidence is non-empty whenever level is
+    above NONE; the ones that watch's worker pool hands the alert tracker
+    carry none (cli._pooled_frames), since the tracker never reads it.
     """
 
     stream_id: str
@@ -334,28 +337,41 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
     )
 
 
-def score_lines(cfg: FusionConfig, strict: bool, first_line_no: int, lines: list[bytes]
-                ) -> tuple[str, int, int, list[ThreatwatchError], ThreatwatchError | None]:
-    """Parse, assess and serialize raw JSONL frame lines numbered from
-    first_line_no, as `score` does in one process.
+def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offset: int,
+                nbytes: int, first_line_no: int
+                ) -> tuple[str | tuple, int, list, ThreatwatchError | None]:
+    """Parse and assess the frame lines of one span of the file at path
+    (frames.chunk_spans), numbered from first_line_no, as score (compact
+    False) or watch (compact True) does in one process.
 
-    Returns (text, frames, lead, bad, fatal): the assessment lines, each
-    ended by LF; how many there are; how many bad lines come before the
-    first frame; the bad lines skipped, as exceptions in line order; and,
-    when strict, the first bad line's exception, where scoring stopped,
-    else None.
+    Returns (frames, count, bad, fatal): for score, the assessment lines
+    as one string, each ended by LF; for watch, the frames' columns
+    (stream_ids, frame_ids, ts_ms, level values, scores), the numbers in
+    arrays and the levels as bytes, so that a chunk crosses to the parent
+    as a few buffers rather than a few objects per frame; how many frames
+    there are; the bad lines skipped, in line order, each as (how many of
+    the span's frames come before it, its exception); and, when strict,
+    the first bad line's exception, where the span stopped, else None.
     """
-    parts: list[str] = []
-    bad: list[ThreatwatchError] = []
-    lead = 0
+    frames: list = []
+    bad: list[tuple[int, ThreatwatchError]] = []
     fatal = None
     try:
-        for record in parse_lines(lines, first_line_no, parse_frame_record,
-                                  None if strict else bad.append):
-            if not parts:
-                lead = len(bad)
-            parts.append(serialize_assessment(assess_frame(record, cfg)))
+        for record in parse_lines(read_span(path, offset, nbytes), first_line_no,
+                                  parse_frame_record,
+                                  None if strict else lambda exc: bad.append((len(frames), exc))):
+            assessment = assess_frame(record, cfg)
+            frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level.value,
+                           assessment.score) if compact else serialize_assessment(assessment))
     except (MalformedJson, SchemaViolation) as exc:
         fatal = exc
-    text = "\n".join(parts) + "\n" if parts else ""
-    return text, len(parts), lead, bad, fatal
+    count = len(frames)
+    if compact:
+        # Imported here, so that one-process runs do not load it.
+        from array import array
+
+        stream_ids, frame_ids, ts_ms, levels, scores = zip(*frames) if frames else ((),) * 5
+        # frame_id and ts_ms are uint64 (frames._record_error).
+        return ((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
+                 array("d", scores)), count, bad, fatal)
+    return "\n".join(frames) + "\n" if frames else "", count, bad, fatal

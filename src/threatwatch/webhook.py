@@ -6,6 +6,13 @@ JSON and retries once on failure. Anything that still fails is logged and
 dropped. When the queue is full the newest event is dropped (and counted)
 rather than stalling ingest, and close() gives up on a hung endpoint
 after CLOSE_WAIT_S, counting what it leaves undelivered as dropped.
+
+The thread posts through one http.client connection, kept open while the
+server keeps it alive and opened again after the server closes it or an
+attempt fails. A kept-alive connection that the server closed while it
+was idle fails before any reply; the attempt then goes again on a new
+connection, so a stale socket does not use up the retry. Only a 2xx reply
+counts as delivered: a redirect is not followed, and no proxy is used.
 """
 
 from __future__ import annotations
@@ -15,8 +22,7 @@ import logging
 import queue
 import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from .alerts import AlertEvent, serialize_alert_event
 
@@ -29,6 +35,27 @@ TIMEOUT_S = 2.0
 MAX_QUEUE = 1000
 # Seconds close() waits for the queue to drain.
 CLOSE_WAIT_S = 30.0
+
+_HEADERS = {"Content-Type": "application/json"}
+# How a kept-alive socket that the server has closed fails a request.
+# http.client.RemoteDisconnected is a ConnectionResetError.
+_STALE = (BrokenPipeError, ConnectionAbortedError, ConnectionResetError)
+
+
+def _connection(url: str) -> tuple[http.client.HTTPConnection | None, str]:
+    """An unopened connection to url's server and the path to POST to, or
+    (None, "") for a URL that cannot be posted to: one with no host, a
+    scheme other than http and https, or a malformed port or host."""
+    try:
+        parts = urlsplit(url)
+        connection = {"http": http.client.HTTPConnection,
+                      "https": getattr(http.client, "HTTPSConnection", None)}.get(parts.scheme)
+        if connection is None or not parts.hostname:
+            return None, ""
+        conn = connection(parts.hostname, parts.port, timeout=TIMEOUT_S)
+    except (ValueError, http.client.InvalidURL):
+        return None, ""
+    return conn, (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
 
 
 class WebhookSink:
@@ -46,6 +73,7 @@ class WebhookSink:
         self.delivered = 0
         self.failed = 0
         self._sent = 0
+        self._conn, self._path = _connection(url)
         # Guards delivered and failed against close() giving up on the
         # worker; once it has, the worker counts nothing more.
         self._lock = threading.Lock()
@@ -93,29 +121,48 @@ class WebhookSink:
         self.close()
 
     def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            body = serialize_alert_event(item).encode()
-            ok = self._post(body) or self._post(body)
-            with self._lock:
-                if self._abandoned:
+        try:
+            while True:
+                item = self._queue.get()
+                if item is _STOP:
                     return
-                if ok:
-                    self.delivered += 1
-                else:
-                    self.failed += 1
-                    logger.warning("webhook delivery failed twice for %s", item.alert_id)
+                body = serialize_alert_event(item).encode()
+                ok = self._post(body) or self._post(body)
+                with self._lock:
+                    if self._abandoned:
+                        return
+                    if ok:
+                        self.delivered += 1
+                    else:
+                        self.failed += 1
+                        logger.warning("webhook delivery failed twice for %s", item.alert_id)
+        finally:
+            if self._conn is not None:
+                self._conn.close()
 
     def _post(self, body: bytes) -> bool:
-        request = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
-                return 200 <= response.status < 300
-        except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException):
-            # HTTPException: a reply that is not HTTP, which urlopen
-            # passes through unwrapped.
+        """One attempt; True when the server replied 2xx."""
+        if self._conn is None:
             return False
+        reused = self._conn.sock is not None
+        try:
+            try:
+                response = self._reply(body)
+            except _STALE:
+                if not reused:
+                    raise
+                self._conn.close()
+                response = self._reply(body)
+            # Read to the end, so the connection can carry the next POST.
+            with response:
+                response.read()
+                return 200 <= response.status < 300
+        except (OSError, ValueError, http.client.HTTPException):
+            # ValueError: a path or host that does not encode.
+            # HTTPException: a reply that is not HTTP.
+            self._conn.close()
+            return False
+
+    def _reply(self, body: bytes) -> http.client.HTTPResponse:
+        self._conn.request("POST", self._path, body, _HEADERS)
+        return self._conn.getresponse()

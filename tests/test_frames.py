@@ -1,5 +1,6 @@
 """Frame-model parsing, validation and manifest handling."""
 
+import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError
@@ -7,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threatwatch.cli import CHUNK_BYTES
 from threatwatch.frames import (
     MAX_ENTRIES,
     BoundingBox,
@@ -22,9 +24,13 @@ from threatwatch.frames import (
     ManifestLabel,
     PoseKeypoint,
     SchemaViolation,
+    chunk_spans,
     parse_frame_record,
+    parse_lines,
     parse_manifest_entry,
+    read_lines,
     read_manifest,
+    read_span,
     serialize_frame_record,
     validate_manifest,
 )
@@ -576,3 +582,39 @@ def test_parse_fuzz_mutated_records(record, data):
         if part is not None:
             with pytest.raises(FrozenInstanceError):
                 setattr(part, type(part).__slots__[0], None)
+
+
+# Inputs whose line ends a span reader could get wrong.
+SPAN_INPUTS = {
+    "cr_crlf_form_feed": b"a\rb\n" + b"c\r\n" + b"\x0c\n" + b"d\r\re\r\n" + b"\rf\n",
+    "no_trailing_lf": b"a\nb\nlast line",
+    "blank_lines": b"\n\n  \n\ta\n\r\n\nb\n\n\n",
+    "line_longer_than_a_chunk": b"a\n" + b"x" * (CHUNK_BYTES + 7) + b"\nb\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("size", [1, 3, 16, CHUNK_BYTES])
+@pytest.mark.parametrize("data", SPAN_INPUTS.values(), ids=SPAN_INPUTS)
+def test_spans_split_and_number_lines_as_read_lines(tmp_path, data, size):
+    path = tmp_path / "frames.jsonl"
+    path.write_bytes(data)
+
+    def numbered(line, line_no):
+        return line_no, line
+
+    spans = list(chunk_spans(str(path), size))
+    from_spans = [item for offset, nbytes, first_line_no in spans
+                  for item in parse_lines(read_span(str(path), offset, nbytes), first_line_no,
+                                          numbered)]
+    assert from_spans == list(read_lines(str(path), numbered))
+    # The spans tile the file. Each ends on a line boundary, and each but
+    # the last holds at least size bytes.
+    ends = list(itertools.accumulate(nbytes for _, nbytes, _ in spans))
+    assert [offset for offset, _, _ in spans] == [0, *ends][:len(spans)]
+    assert ends[-1:] == ([len(data)] if data else [])
+    for end in ends[:-1]:
+        assert data[end - 1:end] == b"\n"
+    assert all(nbytes >= size for _, nbytes, _ in spans[:-1])
+    assert [first for _, _, first in spans] == [data[:offset].count(b"\n") + 1
+                                               for offset, _, _ in spans]

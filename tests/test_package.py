@@ -69,9 +69,18 @@ def test_star_import_and_version():
 
 
 def test_importing_a_submodule_loads_no_http_client():
+    # nor the worker pool, which only a large input needs
     done = _python("import sys, threatwatch.frames, threatwatch.fusion, threatwatch.cli\n"
-                   "print(sorted(m for m in ('threatwatch.webhook', 'urllib.request', 'ssl')"
+                   "print(sorted(m for m in ('threatwatch.webhook', 'urllib.request', 'ssl',"
+                   " 'http.client', 'multiprocessing', 'concurrent.futures.process')"
                    " if m in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_webhook_posts_without_urllib_request():
+    done = _python("import sys, threatwatch.webhook\n"
+                   "print(sorted(m for m in ('urllib.request', 'urllib.error') if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 

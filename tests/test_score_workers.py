@@ -1,6 +1,7 @@
-"""score on worker processes: the same bytes, warnings, counts and exit
-codes as in one process, bounded workers and chunks in flight, and a
-bounded failure when a worker dies.
+"""score and watch on worker processes: the same bytes, warnings, counts
+and exit codes as in one process, bounded workers and chunks in flight,
+a bounded failure when a worker dies, and no fork while watch's webhook
+thread runs.
 
 Each test forces the path it wants: a small CHUNK_BYTES and
 POOL_MIN_CHUNKS and two usable CPUs select the worker pool, one usable
@@ -10,7 +11,9 @@ fork on Linux under Python 3.11 or later, two threads pick spawn.
 """
 
 import concurrent.futures
+import http.server
 import importlib.util
+import itertools
 import json
 import logging
 import multiprocessing
@@ -31,6 +34,7 @@ from threatwatch.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SUMMARY_RE = re.compile(r"summary: frames=(\d+) skipped=(\d+) elapsed_s=[\d.]+ rate_fps=[\d.]+")
+TIMINGS_RE = re.compile(r" elapsed_s=[\d.]+ rate_fps=[\d.]+$")
 
 # The start methods the chooser can pick on this platform.
 START_METHODS = (("fork", "spawn") if sys.platform == "linux" and sys.version_info >= (3, 11)
@@ -68,12 +72,12 @@ HOSTILE = b"".join([
 ])
 
 
-def _run(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2,
-         method=None):
+def _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2,
+          method=None):
     """main(argv) with cpus usable CPUs, the given chunk size, the fewest
     chunks for the pool under either start method (None: the shipped
     ones) and the pool started by method (None: as the chooser finds);
-    returns everything a caller can observe except timings."""
+    returns the exit code, the warnings logged and stderr."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
     if min_chunks is not None:
@@ -83,11 +87,23 @@ def _run(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, m
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         code = main(argv)
-    err = capsys.readouterr().err
-    summary = SUMMARY_RE.search(err)
     warnings = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    return code, warnings, capsys.readouterr().err
+
+
+def _run(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2,
+         method=None):
+    """_main(...)'s observables except timings, for score."""
+    code, warnings, err = _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks,
+                                method)
+    summary = SUMMARY_RE.search(err)
     errors = [line for line in err.splitlines() if not line.startswith("summary: ")]
     return code, summary and summary.groups(), warnings, errors
+
+
+def _untimed(err):
+    """stderr's lines without the summary's timings."""
+    return [TIMINGS_RE.sub("", line) for line in err.splitlines()]
 
 
 def _score_every_way(tmp_path, data, monkeypatch, caplog, capsys, chunk_bytes, extra=(),
@@ -286,14 +302,14 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
     cpus = {1: 0, 2: 2, 8: 2}  # two chunks: never more workers than chunks
     for n, workers in cpus.items():
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
-        assert cli._score_workers(open_backend(f"jsonl:{frames}"), "fork") == workers
+        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == workers
         # fewer chunks than spawn's threshold
-        assert cli._score_workers(open_backend(f"jsonl:{frames}"), "spawn") == 0
+        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "spawn") == 0
     for uri in ("jsonl:-", f"jsonl:{tmp_path}", f"jsonl:{tmp_path / 'ghost'}",
                 f"synthetic:{script}"):
-        assert cli._score_workers(open_backend(uri), "fork") == 0
+        assert cli._pool_workers(open_backend(uri), "fork") == 0
     monkeypatch.setattr(cli, "CHUNK_BYTES", frames.stat().st_size)  # one chunk
-    assert cli._score_workers(open_backend(f"jsonl:{frames}"), "fork") == 0
+    assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == 0
 
 
 def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatch):
@@ -306,7 +322,7 @@ def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatc
                 (min_chunks * cli.CHUNK_BYTES, 2):
             with open(frames, "wb") as fh:
                 fh.truncate(size)  # sparse: only the size is read
-            assert cli._score_workers(open_backend(f"jsonl:{frames}"), method) == workers
+            assert cli._pool_workers(open_backend(f"jsonl:{frames}"), method) == workers
 
 
 @pytest.mark.parametrize("cpu_count, workers", [(None, 0), (1, 0), (2, 2), (8, 3)])
@@ -324,7 +340,7 @@ def test_cpu_count_stands_in_where_affinity_is_unknown(tmp_path, monkeypatch, ca
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     for method in START_METHODS:
         _force(monkeypatch, method)
-        assert cli._score_workers(open_backend(f"jsonl:{frames}"), method) == workers
+        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), method) == workers
         out.unlink()
         caplog.clear()
         with caplog.at_level(logging.WARNING):
@@ -337,12 +353,13 @@ def test_cpu_count_stands_in_where_affinity_is_unknown(tmp_path, monkeypatch, ca
         assert multiprocessing.active_children() == []
 
 
-# Runs `score` with the arguments after its first three: with CPUS usable
-# CPUs, 100-byte chunks and pool thresholds of 2 chunks, the pool started
-# by METHOD (forced through the thread count) and, for ACTION "die",
-# workers that exit at once. It writes "head" to stdout, unflushed, before
-# scoring; logs each pool's start method on stderr; and ends by printing
-# how many child processes are left.
+# Runs the command in the arguments after its first three: with CPUS
+# usable CPUs, 100-byte chunks and pool thresholds of 2 chunks, the pool
+# started by METHOD (forced through the thread count) and, for ACTION
+# "die", workers that exit at once. It writes "head" to stdout, unflushed,
+# before running; logs each pool's start method on stderr; and ends by
+# printing how many child processes are left and, for ACTION "forks", how
+# many threads ran at each fork.
 RUNNER = """\
 import multiprocessing
 import os
@@ -364,7 +381,10 @@ def logged(method, get_context=multiprocessing.get_context):
 if __name__ == "__main__":
     cpus, method, action, *argv = sys.argv[1:]
     if action == "die":
-        cli.score_lines = die
+        cli.assess_span = die
+    forks = []
+    if action == "forks":
+        os.register_at_fork(before=lambda count=threading.active_count: forks.append(count()))
     cli.CHUNK_BYTES = 100
     cli.POOL_MIN_CHUNKS = {"fork": 2, "spawn": 2}
     os.sched_getaffinity = lambda pid: set(range(int(cpus)))
@@ -373,6 +393,8 @@ if __name__ == "__main__":
     sys.stdout.write("head\\n")
     code = cli.main(argv)
     print(len(multiprocessing.active_children()), file=sys.stderr)
+    if action == "forks":
+        print(f"threads at each fork: {forks}", file=sys.stderr)
     sys.exit(code)
 """
 
@@ -388,14 +410,15 @@ def _run_script(tmp_path, cpus, method, action, *argv):
 def test_worker_death_exits_1_without_hanging(tmp_path):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(b"".join(_line(i) + b"\n" for i in range(1, 50)))
-    for method in START_METHODS:
-        done = _run_script(tmp_path, 2, method, "die", "score", "--input", str(frames),
-                           "--out", str(tmp_path / "out.jsonl"))
+    for method, (command, out) in itertools.product(START_METHODS, [("score", "--out"),
+                                                                     ("watch", "--alerts")]):
+        done = _run_script(tmp_path, 2, method, "die", command, "--input", str(frames),
+                           out, str(tmp_path / "out.jsonl"))
         assert done.returncode == 1
         assert done.stdout == b"head\n"
         pool, error, left = done.stderr.decode().splitlines()
         assert pool == f"pool: {method}"
-        assert error.startswith("error: a score worker process died: ")
+        assert error.startswith(f"error: a {command} worker process died: ")
         assert left == "0"
 
 
@@ -452,3 +475,220 @@ def test_a_live_thread_keeps_the_pool_on_spawn(tmp_path, monkeypatch, caplog, ca
     assert started == ["spawn"]
     assert pooled == serial
     assert multiprocessing.active_children() == []
+
+
+# Detections that assess to each level: a lone knife is cold
+# (object_present), a hand holding it hot (grasped), and a hand above it
+# overhand (overhand_threat).
+_HAND = {"label": "hand", "conf": 0.95}
+_KNIFE = {"label": "knife", "conf": 0.95}
+_SCENES = {
+    "cold": [dict(_KNIFE, box=[0.46, 0.50, 0.08, 0.18])],
+    "hot": [dict(_HAND, box=[0.40, 0.46, 0.10, 0.10]), dict(_KNIFE, box=[0.51, 0.44, 0.08, 0.18])],
+    "overhand": [dict(_HAND, box=[0.45, 0.28, 0.10, 0.10]),
+                 dict(_KNIFE, box=[0.46, 0.46, 0.08, 0.18])],
+}
+# One alert: raised on the third hot frame, escalated, then cleared by the
+# tenth cold frame.
+_PLAN = ["cold"] * 2 + ["hot"] * 4 + ["overhand"] + ["hot"] * 2 + ["cold"] * 11
+
+
+def _frame(stream_id, frame_id, scene):
+    return json.dumps({"stream_id": stream_id, "frame_id": frame_id, "ts_ms": 33 * frame_id,
+                       "detections": _SCENES[scene]}).encode() + b"\n"
+
+
+def _streams():
+    """Three streams, each through _PLAN at its own phase, interleaved
+    line by line, after two long bad lines; with a stale frame_id every
+    sixth step and a bad line every fifth."""
+    lines = [b"{" + b"x" * 600 + b"\n"] * 2
+    for step in range(2 * len(_PLAN)):
+        for k, stream_id in enumerate("xyz"):
+            lines.append(_frame(stream_id, step + 1, _PLAN[(step + 4 * k) % len(_PLAN)]))
+        if step % 6 == 3:
+            lines.append(_frame("x", step + 1, "hot"))  # frame_id not after the last
+        if step % 5 == 2:
+            lines.append(b"{broken\n")
+    return b"".join(lines)
+
+
+def _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys, chunk_bytes, min_chunks=2):
+    """watch data in one process, then in a pool of one worker and of two
+    under each of START_METHODS, each into its own --alerts. Returns each
+    run's exit code, warnings, stderr lines without timings and alerts
+    bytes, the one-process run first, and the start methods of the pools
+    the later runs made."""
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(data)
+    get_context, started = multiprocessing.get_context, []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: started.append(method) or get_context(method))
+    pool_workers = cli._pool_workers
+    runs, pools = [], []
+    for cpus, method, workers in [(1, None, 0),
+                                  *((2, m, w) for m in START_METHODS for w in (1, 2))]:
+        monkeypatch.setattr(cli, "_pool_workers",
+                            lambda backend, method, w=workers: min(pool_workers(backend, method), w))
+        alerts = tmp_path / f"alerts-{method}-{workers}.jsonl"
+        started.clear()
+        code, warnings, err = _main(["watch", "--input", str(frames), "--alerts", str(alerts)],
+                                    monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks,
+                                    method)
+        runs.append((code, warnings, _untimed(err),
+                     alerts.read_bytes() if alerts.exists() else None))
+        if cpus > 1:
+            pools.append(tuple(started))
+        assert multiprocessing.active_children() == []
+    return runs, pools
+
+
+# The pools _watch_every_way's later runs make when the input takes the pool.
+WATCH_POOLS = [(m,) for m in START_METHODS for _ in (1, 2)]
+
+
+def test_seed0_replay_watch_input_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
+    workload = _load_workloads().generate("replay-watch", 0, tmp_path / "in")
+    data = pathlib.Path(workload.input_uri.partition(":")[2]).read_bytes()
+    assert len(data) >= max(cli.POOL_MIN_CHUNKS.values()) * cli.CHUNK_BYTES
+    (serial, *pooled), pools = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
+                                                cli.CHUNK_BYTES, min_chunks=None)
+    assert pools == WATCH_POOLS
+    assert pooled == [serial] * len(WATCH_POOLS)
+    code, warnings, err, alerts = serial
+    truth = workload.truth
+    events = alerts.splitlines()
+    raised = sum(b'"kind":"raised"' in event for event in events)
+    assert code == 0 and raised > 0
+    assert err == [f"summary: frames={len(truth.frames) + len(truth.stale)} "
+                   f"skipped={truth.bad_lines} dropped={len(truth.stale)} "
+                   f"alerts_raised={raised} events={len(events)}"]
+    assert len(warnings) == truth.bad_lines + len(truth.stale)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 300, 1000, 5000])
+def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog, capsys,
+                                                  chunk_bytes):
+    # Boundaries fall inside hot streaks and between a stale frame and the
+    # frame it repeats; the first chunks hold only bad lines, up to 1,000
+    # bytes. HOSTILE adds a fourth stream of hostile lines.
+    data = _streams() + HOSTILE
+    (serial, *pooled), pools = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
+                                                chunk_bytes)
+    assert pools == WATCH_POOLS
+    assert pooled == [serial] * len(WATCH_POOLS)
+    code, warnings, err, alerts = serial
+    assert code == 0
+    # 120 frames of three streams plus 7 stale ones; 10 bad lines; HOSTILE
+    # adds 5 frames and 5 bad lines
+    assert err == ["summary: frames=132 skipped=15 dropped=7 alerts_raised=6 events=17"]
+    kinds = [name for name, _, _ in warnings]
+    assert kinds.count("threatwatch.backends") == 15 and kinds.count("threatwatch.alerts") == 7
+    # the warnings of both kinds interleave
+    assert kinds.index("threatwatch.alerts") < len(kinds) - 1 - kinds[::-1].index(
+        "threatwatch.backends")
+
+
+@pytest.mark.parametrize("data, pools", [(b"{x\n" * 40 + b"[1]\n" + b"\n", WATCH_POOLS),
+                                         (b"", [()] * len(WATCH_POOLS))],
+                         ids=["all_bad", "empty"])
+def test_watch_of_no_frames_matches_one_process(tmp_path, monkeypatch, caplog, capsys, data,
+                                                pools):
+    # An empty file has no chunk, so it never takes the pool.
+    (serial, *pooled), made = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys, 10)
+    assert made == pools
+    assert pooled == [serial] * len(WATCH_POOLS)
+    code, warnings, err, alerts = serial
+    skipped = data.count(b"\n") - 1 if data else 0
+    assert (code, len(warnings), alerts) == (0, skipped, b"")
+    assert err == [f"summary: frames=0 skipped={skipped} dropped=0 alerts_raised=0 events=0"]
+
+
+def test_watch_of_a_missing_input_leaves_alerts_untouched(tmp_path, monkeypatch, caplog,
+                                                          capsys):
+    alerts = tmp_path / "alerts.jsonl"
+    alerts.write_text("earlier run\n")
+    for cpus in (1, 2):
+        code, warnings, err = _main(["watch", "--input", str(tmp_path / "ghost.jsonl"),
+                                     "--alerts", str(alerts)], monkeypatch, caplog, capsys,
+                                    cpus, 1)
+        assert (code, warnings) == (2, [])
+        assert [line.split(":")[0] for line in err.splitlines()] == ["i/o error"]
+        assert alerts.read_text() == "earlier run\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_watch_input_that_is_also_alerts_is_refused_untouched(tmp_path, monkeypatch, caplog,
+                                                              capsys):
+    data = _streams()
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(data)
+    for cpus in (1, 2):
+        seen = _main(["watch", "--input", str(frames), "--alerts", str(frames)], monkeypatch,
+                     caplog, capsys, cpus, 300)
+        assert seen == (1, [], f"error: input and output are the same file: {frames}\n")
+        assert frames.read_bytes() == data
+    assert multiprocessing.active_children() == []
+
+
+class _Receiver(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.server.bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
+        self.send_response(200)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def receiver():
+    """A webhook endpoint on loopback, served from a thread of this
+    process; the commands under test run in a child process, which holds
+    no thread of it."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Receiver)
+    server.bodies = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(_streams())
+    url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
+    runs = []
+    for cpus, method in [(1, START_METHODS[0]), *((2, m) for m in START_METHODS)]:
+        done = _run_script(tmp_path, cpus, method, "run", "watch", "--input", str(frames),
+                           "--alerts", "-", "--webhook", url)
+        err = [line for line in _untimed(done.stderr.decode()) if not line.startswith("pool: ")]
+        runs.append((done.returncode, done.stdout, err, receiver.bodies[:]))
+        receiver.bodies.clear()
+        pools = [line for line in done.stderr.decode().splitlines() if line.startswith("pool: ")]
+        assert pools == ([f"pool: {method}"] if cpus > 1 else [])
+    serial, *pooled = runs
+    assert pooled == [serial] * len(START_METHODS)
+    code, stdout, err, bodies = serial
+    assert code == 0 and stdout.startswith(b"head\n")
+    assert bodies == stdout.splitlines()[1:] and len(bodies) == 17
+    assert err[-3:] == ["summary: frames=127 skipped=10 dropped=7 alerts_raised=6 events=17",
+                        "webhook: delivered=17 failed=0 dropped=0", "0"]
+
+
+@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux, 3.11+")
+def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, receiver):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(_streams())
+    url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
+    done = _run_script(tmp_path, 2, "fork", "forks", "watch", "--input", str(frames),
+                       "--alerts", os.devnull, "--webhook", url)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.decode().splitlines()
+    assert lines[0] == "pool: fork"
+    assert lines[-3:-1] == ["webhook: delivered=17 failed=0 dropped=0", "0"]
+    # the real thread count, not the one forced to pick fork
+    assert lines[-1] == "threads at each fork: [1, 1]"

@@ -198,3 +198,122 @@ def test_close_gives_up_on_a_hung_endpoint(monkeypatch, max_queue):
     assert counts[2] >= 8
     # The worker counts nothing after close() gave up on it.
     assert (sink.delivered, sink.failed, sink.dropped) == counts
+
+
+class _KeepAlive(_Recorder):
+    """_Recorder over HTTP/1.1: the connection stays open between POSTs.
+    Counts the connections it was handed."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        super().do_POST()
+        self.wfile.flush()
+
+    def send_response(self, code, message=None):
+        super().send_response(code, message)
+        self.send_header("Content-Length", "0")
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    server.requests = []
+    server.fail_remaining = 0
+    server.connections = 0
+    server.lock = threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, f"http://127.0.0.1:{server.server_address[1]}/hook?key=1"
+
+
+class _CountedRecorder(_Recorder):
+    """_Recorder (HTTP/1.0: the server closes after each reply) that
+    counts connections."""
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+
+@pytest.mark.parametrize("handler, connections", [(_KeepAlive, 1), (_CountedRecorder, 7)],
+                         ids=["keep_alive", "close_per_request"])
+def test_connection_is_reused_while_the_server_keeps_it(handler, connections):
+    server, thread, url = _serve(handler)
+    try:
+        with WebhookSink(url) as sink:
+            for _ in range(7):
+                sink.send(EVENT)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (sink.delivered, sink.failed, sink.dropped) == (7, 0, 0)
+    assert server.connections == connections
+    assert server.requests == [("/hook?key=1", serialize_alert_event(EVENT).encode())] * 7
+
+
+def test_keep_alive_connection_reopens_after_a_failed_reply():
+    server, thread, url = _serve(_KeepAlive)
+    server.fail_remaining = 1
+    try:
+        with WebhookSink(url) as sink:
+            for _ in range(3):
+                sink.send(EVENT)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    # a 500 keeps the connection: the retry and the later events share it
+    assert (sink.delivered, sink.failed, sink.dropped) == (3, 0, 0)
+    assert len(server.requests) == 4 and server.connections == 1
+
+
+class _ClosesWhileIdle(_KeepAlive):
+    """_KeepAlive that fails every other POST with a 500 and closes each
+    connection after its reply without saying so, as a server that drops
+    idle kept-alive connections does."""
+
+    def do_POST(self):
+        self.server.fail_remaining = 1 - len(self.server.requests) % 2
+        super().do_POST()
+        self.close_connection = True
+
+
+def test_stale_kept_alive_connection_does_not_use_up_the_retry():
+    server, thread, url = _serve(_ClosesWhileIdle)
+    try:
+        with WebhookSink(url) as sink:
+            for _ in range(3):
+                sink.send(EVENT)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    # Each event: a 500, then the retry finds the socket closed, reconnects
+    # and is answered 200; the stale try is not an attempt of its own.
+    assert (sink.delivered, sink.failed, sink.dropped) == (3, 0, 0)
+    assert len(server.requests) == 6 and server.connections == 6
+
+
+@pytest.mark.parametrize("url", [
+    "http://", "https:///hook", "hook", "ftp://127.0.0.1/hook", "file:///tmp/hook",
+    "http://127.0.0.1:port/hook", "http://127.0.0.1:99999/hook", "http://[::1/hook",
+    "http://bad host/hook", "http://127.0.0.1:9/hé",
+])
+def test_url_that_cannot_be_posted_to_counts_as_failed(monkeypatch, url):
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 0.2)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with WebhookSink(url) as sink:
+        sink.send(EVENT)
+        sink.send(EVENT)
+    assert uncaught == []
+    assert (sink.delivered, sink.failed, sink.dropped) == (0, 2, 0)
+
