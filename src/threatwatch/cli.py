@@ -15,12 +15,14 @@ success, 1 domain or validation error, 2 I/O error. score and watch end
 with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
-score and watch parse and assess a large JSONL file in a pool of worker
-processes, min(usable CPUs, chunks) of them, when two or more CPUs are
-usable; the parent hands each worker a byte range of the file, writes
-score's results in input order and steps watch's alert tracker over them
-in input order, so the output, warnings, counts and errors are those of
-the one-process loop, which runs everything else. On Linux under Python
+score and watch each run one loop over one stream of assessed frames
+(_assessed), which comes from one of two places. A large JSONL file is
+parsed and assessed in a pool of worker processes, min(usable CPUs,
+chunks) of them, when two or more CPUs are usable: the parent hands each
+worker a byte range of the file and takes back its frames in runs cut at
+the bad lines, which it logs between the runs. Everything else is read
+and assessed in this process, one record at a time. So the output,
+warnings, counts and errors are the same either way. On Linux under Python
 3.11 or later, a process with one thread forks the workers, from 2 MiB
 (POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them before its
 webhook thread starts; everywhere else they are spawned, from 8 MiB, and
@@ -64,7 +66,7 @@ from .evaluation import (
     per_class_accuracy,
     render_report,
 )
-from .frames import (FrameRecord, MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
+from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
 from .fusion import (FusionConfig, ThreatAssessment, ThreatLevel, assess_frame, assess_span,
                      serialize_assessment)
@@ -178,31 +180,24 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _open_input(uri: str, strict: bool, out_path: str) -> DetectorBackend:
     """The backend of --input; an input that is not a backend URI is read
-    as a JSONL path. A JSONL input that is the out_path file is refused
-    before either is opened: opening out_path would truncate it."""
+    as a JSONL path. A JSONL input that is the out_path file, stdin
+    included, is refused before either is opened: opening out_path would
+    truncate it. A stdin with no file descriptor is not checked."""
     if not uri.startswith(_URI_PREFIXES):
         uri = f"{REPLAY_SCHEME}:{uri}"
     backend = open_backend(uri, strict)
-    if (isinstance(backend, backends.ReplayBackend) and "-" not in (backend.path, out_path)
-            and os.path.exists(backend.path) and os.path.exists(out_path)
-            and os.path.samefile(backend.path, out_path)):
-        raise ThreatwatchError(f"input and output are the same file: {out_path}")
+    if (isinstance(backend, backends.ReplayBackend) and out_path != "-"
+            and os.path.exists(out_path)):
+        if backend.path == "-":
+            try:
+                source = os.fstat(sys.stdin.fileno())
+            except (AttributeError, OSError, ValueError):  # no stdin, or no descriptor
+                source = None
+        else:
+            source = os.stat(backend.path) if os.path.exists(backend.path) else None
+        if source is not None and os.path.samestat(source, os.stat(out_path)):
+            raise ThreatwatchError(f"input and output are the same file: {out_path}")
     return backend
-
-
-@contextlib.contextmanager
-def _input_frames(backend: DetectorBackend) -> Iterator[Iterator[FrameRecord]]:
-    """The backend's records, read ahead to the first one, so a missing or
-    bad input fails before the caller creates any output file. The records
-    are closed on exit, which also closes the input file when the output
-    cannot open."""
-    records = backend.frames()
-    try:
-        first = next(records, None)
-        yield records if first is None else itertools.chain((first,), records)
-    finally:
-        if hasattr(records, "close"):
-            records.close()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -289,20 +284,17 @@ def _pool_workers(backend: DetectorBackend, method: str) -> int:
     return min(cpus, chunks) if cpus >= 2 else 0
 
 
-@contextlib.contextmanager
 def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple], workers: int,
-                   method: str, command: str) -> Iterator[Iterator[tuple]]:
+                   method: str, command: str) -> Iterator[tuple]:
     """assess(path, offset, nbytes, first_line_no), a picklable
     fusion.assess_span with its leading arguments bound, over backend's
     file, one span of CHUNK_BYTES at a time, in a pool of workers
-    processes started by method: the spans' (frames, count, bad) in input
-    order, read ahead to the first frame as _input_frames reads, so a
-    caller opens its output after that. The bad lines before the first
-    frame are logged on the way; each later one is left in bad, as
-    (frames before it in its span, exception), for the caller to log in
-    line order. Under --strict, the span that holds the
-    first bad line is followed by its error. At most workers + 1 spans are
-    in flight, and those not started are cancelled on exit. The parent
+    processes started by method: the spans' non-empty runs of frames, each
+    as (frames, count), in input order. The bad line after each run is
+    logged when the next one is taken, so in line order among the frames
+    the caller takes; under --strict, the runs end with the first bad
+    line's error. At most workers + 1 spans are in flight, and those not
+    started are cancelled when the generator ends or is closed. The parent
     hands each worker a byte range, never lines, and a worker that dies
     ends the run with one error, which names the command.
 
@@ -316,7 +308,7 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    def results() -> Iterator[tuple]:
+    def results(spans: Iterator[tuple[int, int, int]]) -> Iterator[tuple]:
         in_flight: collections.deque = collections.deque()
         for span in spans:
             in_flight.append(pool.submit(assess, backend.path, *span))
@@ -325,48 +317,61 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
         while in_flight:
             yield in_flight.popleft().result()
 
-    def chunks() -> Iterator[tuple]:
-        leading = True  # no frame yet
-        try:
-            for frames, count, bad, fatal in results():
-                if leading:
-                    lead = sum(1 for before, _ in bad if not before)
-                    for _, exc in bad[:lead]:
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    try:
+        with contextlib.closing(chunk_spans(backend.path, CHUNK_BYTES)) as spans:
+            for runs, bad, fatal in results(spans):
+                for run, exc in itertools.zip_longest(runs, bad):
+                    if run[1]:
+                        yield run
+                    if exc is not None:
                         backend._skip(exc)
-                    bad = bad[lead:]
-                    leading = not count
-                if not leading:
-                    yield frames, count, bad
                 if fatal is not None:
                     raise fatal
-        except BrokenProcessPool as exc:
-            raise ThreatwatchError(f"a {command} worker process died: {exc}") from None
-
-    with contextlib.ExitStack() as stack:
-        spans = stack.enter_context(contextlib.closing(chunk_spans(backend.path, CHUNK_BYTES)))
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-        stack.callback(pool.shutdown, cancel_futures=True)
-        ordered = chunks()
-        first = next(ordered, None)
-        yield ordered if first is None else itertools.chain((first,), ordered)
+    except BrokenProcessPool as exc:
+        raise ThreatwatchError(f"a {command} worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _pooled_frames(chunks: Iterator[tuple], backend: backends.ReplayBackend
-                   ) -> Iterator[tuple[ThreatAssessment, int]]:
-    """Each frame of watch's worker chunks as (assessment, ts_ms) in input
-    order, with each bad line logged at its place among them."""
-    for columns, count, bad in chunks:
-        rows = zip(*columns)
-        start = 0
-        for before, exc in (*bad, (count, None)):
-            for stream_id, frame_id, ts_ms, level, score in itertools.islice(rows, before - start):
-                # No evidence, even above NONE: the workers do not ship it,
-                # and AlertTracker.feed reads none. These assessments differ
-                # from assess_frame's there, so nothing else may read them.
-                yield ThreatAssessment(stream_id, frame_id, _LEVELS[level], score, ()), ts_ms
-            if exc is not None:
-                backend._skip(exc)
-            start = before
+@contextlib.contextmanager
+def _assessed(backend: DetectorBackend, cfg: FusionConfig, compact: bool,
+              command: str) -> Iterator[Iterator[tuple]]:
+    """backend's frames assessed by cfg, in input order, for watch
+    (compact) as (assessment, ts_ms) per frame, for score as runs of
+    (text, count), the assessment lines of count frames. A large JSONL
+    file is assessed in worker processes (_worker_chunks), anything else
+    here, one record at a time. Read ahead to the first frame, so a
+    missing or bad input fails before the caller creates any output file;
+    the bad lines before it are logged on the way. The source is closed on
+    exit, which also closes the input file when the output cannot open,
+    and ends the workers."""
+    method = _pool_start_method()
+    workers = _pool_workers(backend, method)
+    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, backend.strict, compact),
+                             workers, method, command) if workers else backend.frames())
+    try:
+        if workers and compact:
+            # No evidence, even above NONE: the workers do not ship it, and
+            # AlertTracker.feed reads none. These assessments differ from
+            # assess_frame's there, so nothing else may read them.
+            assessed = ((ThreatAssessment(stream_id, frame_id, _LEVELS[level], score, ()), ts_ms)
+                        for columns, _ in source
+                        for stream_id, frame_id, ts_ms, level, score in zip(*columns))
+        elif workers:
+            assessed = source
+        # One record at a time, through this module's assess_frame and
+        # serialize_assessment: perfbench's tracer times each call there.
+        elif compact:
+            assessed = ((assess_frame(record, cfg), record.ts_ms) for record in source)
+        else:
+            assessed = ((serialize_assessment(assess_frame(record, cfg)) + "\n", 1)
+                        for record in source)
+        first = next(assessed, None)
+        yield assessed if first is None else itertools.chain((first,), assessed)
+    finally:
+        if hasattr(source, "close"):
+            source.close()
 
 
 def _print_summary(started: float, frames: int, backend: DetectorBackend, **counts: int) -> None:
@@ -384,24 +389,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     frames = 0
     started = time.perf_counter()
     backend = _open_input(args.input, args.strict, args.out)
-    method = _pool_start_method()
-    workers = _pool_workers(backend, method)
-    if workers:
-        assess = functools.partial(assess_span, fusion_cfg, backend.strict, False)
-        with (_worker_chunks(backend, assess, workers, method, args.command) as chunks,
-              _out_stream(args.out) as out):
-            for text, count, bad in chunks:
-                for _, exc in bad:
-                    backend._skip(exc)
-                out.write(text)
-                frames += count
-    else:
-        with _input_frames(backend) as records, _out_stream(args.out) as out:
-            write = out.write
-            for record in records:
-                frames += 1
-                write(serialize_assessment(assess_frame(record, fusion_cfg)))
-                write("\n")
+    with _assessed(backend, fusion_cfg, False, args.command) as runs, _out_stream(args.out) as out:
+        write = out.write
+        for text, count in runs:
+            write(text)
+            frames += count
     _print_summary(started, frames, backend)
     return 0
 
@@ -410,7 +402,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     config = _run_config(args)
     webhook_url = args.webhook or config.webhook_url
     tracker = AlertTracker(config.temporal)
-    fusion_cfg = config.fusion
     frames = 0
     raised = 0
     events = 0
@@ -431,17 +422,11 @@ def cmd_watch(args: argparse.Namespace) -> int:
         from .webhook import WebhookSink
     started = time.perf_counter()
     backend = _open_input(args.input, False, args.alerts)
-    # The pool's first spans are submitted, which forks its workers, before
-    # the sink starts its thread.
-    method = _pool_start_method()
-    workers = _pool_workers(backend, method)
-    with (_worker_chunks(backend, functools.partial(assess_span, fusion_cfg, backend.strict, True),
-                         workers, method, args.command) if workers
-          else _input_frames(backend) as source,
+    # The pool's workers, if any, start with the read-ahead, before the
+    # sink starts its thread.
+    with (_assessed(backend, config.fusion, True, args.command) as assessed,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
-        assessed = (_pooled_frames(source, backend) if workers
-                    else ((assess_frame(record, fusion_cfg), record.ts_ms) for record in source))
         for event in alert_events(assessed):
             events += 1
             if event.kind is AlertKind.RAISED:

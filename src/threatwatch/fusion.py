@@ -16,7 +16,8 @@ Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. Everything here is pure and
 stateless; frames can be assessed in parallel in any order. assess_span
 does so for the worker processes of `score` and `watch`: it assesses one
-span of a JSONL file, and imports nothing beyond this module and frames.
+span of a JSONL file into runs of frames cut at its bad lines, and imports
+nothing beyond this module and frames.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class ThreatAssessment:
     the classifier verdict, the pose gate outcome). In every assessment
     that assess_frame returns, evidence is non-empty whenever level is
     above NONE; the ones that watch's worker pool hands the alert tracker
-    carry none (cli._pooled_frames), since the tracker never reads it.
+    carry none (cli._assessed), since the tracker never reads it.
     """
 
     stream_id: str
@@ -339,39 +340,50 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
 
 def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offset: int,
                 nbytes: int, first_line_no: int
-                ) -> tuple[str | tuple, int, list, ThreatwatchError | None]:
+                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError],
+                           ThreatwatchError | None]:
     """Parse and assess the frame lines of one span of the file at path
     (frames.chunk_spans), numbered from first_line_no, as score (compact
     False) or watch (compact True) does in one process.
 
-    Returns (frames, count, bad, fatal): for score, the assessment lines
-    as one string, each ended by LF; for watch, the frames' columns
-    (stream_ids, frame_ids, ts_ms, level values, scores), the numbers in
-    arrays and the levels as bytes, so that a chunk crosses to the parent
-    as a few buffers rather than a few objects per frame; how many frames
-    there are; the bad lines skipped, in line order, each as (how many of
-    the span's frames come before it, its exception); and, when strict,
-    the first bad line's exception, where the span stopped, else None.
+    Returns (runs, bad, fatal): the span's frames cut at each bad line
+    skipped, len(bad) + 1 runs, each as (frames, count); those lines'
+    exceptions, in line order; and, when strict, the first bad line's
+    exception, where the span stopped, else None. A run's frames are, for
+    score, its assessment lines as one string, each ended by LF; for
+    watch, its columns (stream_ids, frame_ids, ts_ms, level values,
+    scores), the numbers in arrays and the levels as bytes, so that a run
+    crosses to the parent as a few buffers rather than a few objects per
+    frame.
     """
     frames: list = []
-    bad: list[tuple[int, ThreatwatchError]] = []
+    runs = [frames]
+    bad: list[ThreatwatchError] = []
+
+    def cut(exc: ThreatwatchError) -> None:
+        nonlocal frames
+        bad.append(exc)
+        frames = []
+        runs.append(frames)
+
     fatal = None
     try:
         for record in parse_lines(read_span(path, offset, nbytes), first_line_no,
-                                  parse_frame_record,
-                                  None if strict else lambda exc: bad.append((len(frames), exc))):
+                                  parse_frame_record, None if strict else cut):
             assessment = assess_frame(record, cfg)
             frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level.value,
                            assessment.score) if compact else serialize_assessment(assessment))
     except (MalformedJson, SchemaViolation) as exc:
         fatal = exc
-    count = len(frames)
-    if compact:
-        # Imported here, so that one-process runs do not load it.
-        from array import array
+    if not compact:
+        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs], bad, fatal
+    # Imported here, so that one-process runs do not load it.
+    from array import array
 
-        stream_ids, frame_ids, ts_ms, levels, scores = zip(*frames) if frames else ((),) * 5
+    packed = []
+    for run in runs:
+        stream_ids, frame_ids, ts_ms, levels, scores = zip(*run) if run else ((),) * 5
         # frame_id and ts_ms are uint64 (frames._record_error).
-        return ((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
-                 array("d", scores)), count, bad, fatal)
-    return "\n".join(frames) + "\n" if frames else "", count, bad, fatal
+        packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
+                        array("d", scores)), len(run)))
+    return packed, bad, fatal

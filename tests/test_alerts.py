@@ -379,6 +379,19 @@ def test_tracker_routes_streams_and_counts_drops():
     assert all(e.kind is AlertKind.CLEARED for e in cleared)
 
 
+def test_frame_id_is_the_only_ordering_and_ts_ms_is_stamped_as_given():
+    # ts_ms steps back on every frame while frame_id advances: no frame is
+    # dropped, and each event carries its frame's ts_ms
+    levels = [ThreatLevel.GRASPED] * 3 + [ThreatLevel.OVERHAND_THREAT] + [ThreatLevel.NONE] * 2
+    tracker = AlertTracker(TemporalConfig(n_raise=3, n_clear=2))
+    events = [tracker.feed(a, ts_ms)
+              for a, ts_ms in zip(assessments(levels), [1000, 900, 800, 700, 650, 600])]
+    assert [(e.kind, e.frame_id, e.ts_ms) for e in events if e is not None] == [
+        (AlertKind.RAISED, 3, 800), (AlertKind.ESCALATED, 4, 700), (AlertKind.CLEARED, 6, 600)]
+    assert tracker.dropped == 0
+    assert tracker.flush_all() == []
+
+
 def test_reference_simulator_agreement_random():
     rng = random.Random(77)
     levels_pool = list(ThreatLevel)
