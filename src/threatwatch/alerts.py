@@ -6,13 +6,14 @@ present in the scene is cold: countertop knives must not hold alerts
 open). n_raise consecutive hot frames open an alert, n_clear consecutive
 cold frames close it; the asymmetric defaults make a missed clear cheaper
 than a flapping alert during brief occlusions. That n_clear-th cold frame
-closes the alert exactly as flush() would at its timestamp: step() hands
-the advanced state to flush(), so both clears share one event and one
-reset.
+closes the alert exactly as flush() would at its timestamp: the transition
+hands the advanced state to flush(), so both clears share one event and
+one reset.
 
 The machine is purely functional: step() and flush() return a new state,
 never mutate, so states can be checkpointed or moved between threads
 between calls. One state per stream_id; streams are independent.
+AlertTracker.feed runs step()'s transition on a frame's fields alone.
 """
 
 from __future__ import annotations
@@ -133,18 +134,19 @@ def step(
     Raises OutOfOrderFrame (state unchanged) when assessment.frame_id does
     not advance past the last frame seen.
     """
+    if assessment.stream_id != state.stream_id:
+        raise ValueError(f"assessment for stream {assessment.stream_id!r} fed to state "
+                         f"for {state.stream_id!r}")
+    return _advance(state, assessment.frame_id, ts_ms, assessment.level, assessment.score, cfg)
+
+
+def _advance(state: AlertState, frame_id: int, ts_ms: int, level: ThreatLevel, score: float,
+             cfg: TemporalConfig) -> tuple[AlertState, AlertEvent | None]:
+    """step() on the fields of a frame of state's stream."""
     stream_id = state.stream_id
-    if assessment.stream_id != stream_id:
-        raise ValueError(
-            f"assessment for stream {assessment.stream_id!r} fed to state "
-            f"for {stream_id!r}"
-        )
-    frame_id = assessment.frame_id
     if state.last_frame_id is not None and frame_id <= state.last_frame_id:
         raise OutOfOrderFrame(stream_id, frame_id, state.last_frame_id)
 
-    level = assessment.level
-    score = assessment.score
     if level >= ThreatLevel.GRASPED:
         consecutive_hot = state.consecutive_hot + 1
         consecutive_cold = 0
@@ -184,15 +186,9 @@ def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]
     """
     event: AlertEvent | None = None
     if state.active_alert_id is not None:
-        event = AlertEvent(
-            state.stream_id,
-            state.active_alert_id,
-            AlertKind.CLEARED,
-            state.last_frame_id if state.last_frame_id is not None else 0,
-            ts_ms,
-            state.peak_level,
-            state.peak_score,
-        )
+        event = AlertEvent(state.stream_id, state.active_alert_id, AlertKind.CLEARED,
+                           state.last_frame_id if state.last_frame_id is not None else 0,
+                           ts_ms, state.peak_level, state.peak_score)
     return AlertState(state.stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0,
                       state.last_frame_id, ts_ms), event
 
@@ -200,9 +196,9 @@ def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]
 class AlertTracker:
     """Multiplexes the functional state machine over many streams.
 
-    Routes each assessment to its stream's state, collects emitted events,
-    and counts (rather than propagates) out-of-order frames so one
-    misbehaving source cannot stall a multi-stream watch loop.
+    Routes each frame to its stream's state, collects emitted events, and
+    counts (rather than propagates) out-of-order frames so one misbehaving
+    source cannot stall a multi-stream watch loop.
     """
 
     def __init__(self, cfg: TemporalConfig) -> None:
@@ -210,17 +206,18 @@ class AlertTracker:
         self.states: dict[str, AlertState] = {}
         self.dropped = 0
 
-    def feed(self, assessment: ThreatAssessment, ts_ms: int) -> AlertEvent | None:
-        state = self.states.get(assessment.stream_id)
-        if state is None:
-            state = new_state(assessment.stream_id)
+    def feed(self, stream_id: str, frame_id: int, ts_ms: int, level: ThreatLevel,
+             score: float) -> AlertEvent | None:
+        """step() of stream_id's state over one frame's fields, stamped
+        ts_ms; an out-of-order frame is logged, counted in dropped and skipped."""
+        state = self.states.get(stream_id) or new_state(stream_id)
         try:
-            state, event = step(state, assessment, self.cfg, ts_ms=ts_ms)
+            state, event = _advance(state, frame_id, ts_ms, level, score, self.cfg)
         except OutOfOrderFrame as exc:
             self.dropped += 1
             logger.warning("dropping frame: %s", exc)
             return None
-        self.states[assessment.stream_id] = state
+        self.states[stream_id] = state
         return event
 
     def flush_all(self) -> list[AlertEvent]:

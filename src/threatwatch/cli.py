@@ -68,8 +68,7 @@ from .evaluation import (
 )
 from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
-from .fusion import (FusionConfig, ThreatAssessment, ThreatLevel, assess_frame, assess_span,
-                     serialize_assessment)
+from .fusion import FusionConfig, assess_frame, assess_span, serialize_assessment, watch_run_frames
 
 logger = logging.getLogger(__name__)
 
@@ -186,16 +185,13 @@ def _open_input(uri: str, strict: bool, out_path: str) -> DetectorBackend:
     if not uri.startswith(_URI_PREFIXES):
         uri = f"{REPLAY_SCHEME}:{uri}"
     backend = open_backend(uri, strict)
-    if (isinstance(backend, backends.ReplayBackend) and out_path != "-"
-            and os.path.exists(out_path)):
-        if backend.path == "-":
-            try:
-                source = os.fstat(sys.stdin.fileno())
-            except (AttributeError, OSError, ValueError):  # no stdin, or no descriptor
-                source = None
-        else:
-            source = os.stat(backend.path) if os.path.exists(backend.path) else None
-        if source is not None and os.path.samestat(source, os.stat(out_path)):
+    if isinstance(backend, backends.ReplayBackend) and out_path != "-":
+        try:  # a file that is missing, no stdin or one with no descriptor: not the same
+            same = os.path.samestat(os.fstat(sys.stdin.fileno()) if backend.path == "-"
+                                    else os.stat(backend.path), os.stat(out_path))
+        except (AttributeError, OSError, ValueError):
+            same = False
+        if same:
             raise ThreatwatchError(f"input and output are the same file: {out_path}")
     return backend
 
@@ -247,9 +243,6 @@ CHUNK_BYTES = 256 * 1024
 #   21 MiB (7 of 8, 21% faster). Between 8 and 21 MiB a spawned watch pool costs memory
 #   and CPU time for no gain on 2 CPUs; more CPUs win sooner.
 POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
-
-# The levels by value, as assess_span ships them.
-_LEVELS = tuple(ThreatLevel)
 
 
 def _pool_start_method() -> str:
@@ -335,35 +328,34 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
 
 
 @contextlib.contextmanager
-def _assessed(backend: DetectorBackend, cfg: FusionConfig, compact: bool,
+def _assessed(backend: DetectorBackend, cfg: FusionConfig,
               command: str) -> Iterator[Iterator[tuple]]:
-    """backend's frames assessed by cfg, in input order, for watch
-    (compact) as (assessment, ts_ms) per frame, for score as runs of
-    (text, count), the assessment lines of count frames. A large JSONL
-    file is assessed in worker processes (_worker_chunks), anything else
-    here, one record at a time. Read ahead to the first frame, so a
+    """backend's frames assessed by cfg, in input order, for watch as
+    (stream_id, frame_id, ts_ms, level, score) per frame, for score as
+    runs of (text, count), the assessment lines of count frames. A large
+    JSONL file is assessed in worker processes (_worker_chunks), anything
+    else here, one record at a time. Read ahead to the first frame, so a
     missing or bad input fails before the caller creates any output file;
     the bad lines before it are logged on the way. The source is closed on
     exit, which also closes the input file when the output cannot open,
     and ends the workers."""
+    watch = command == "watch"
     method = _pool_start_method()
     workers = _pool_workers(backend, method)
-    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, backend.strict, compact),
+    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, backend.strict, watch),
                              workers, method, command) if workers else backend.frames())
     try:
-        if workers and compact:
-            # No evidence, even above NONE: the workers do not ship it, and
-            # AlertTracker.feed reads none. These assessments differ from
-            # assess_frame's there, so nothing else may read them.
-            assessed = ((ThreatAssessment(stream_id, frame_id, _LEVELS[level], score, ()), ts_ms)
-                        for columns, _ in source
-                        for stream_id, frame_id, ts_ms, level, score in zip(*columns))
+        if workers and watch:
+            assessed = itertools.chain.from_iterable(
+                watch_run_frames(columns) for columns, _ in source)
         elif workers:
             assessed = source
         # One record at a time, through this module's assess_frame and
         # serialize_assessment: perfbench's tracer times each call there.
-        elif compact:
-            assessed = ((assess_frame(record, cfg), record.ts_ms) for record in source)
+        elif watch:
+            assessed = ((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
+                         assessment.score)
+                        for record in source for assessment in (assess_frame(record, cfg),))
         else:
             assessed = ((serialize_assessment(assess_frame(record, cfg)) + "\n", 1)
                         for record in source)
@@ -389,7 +381,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     frames = 0
     started = time.perf_counter()
     backend = _open_input(args.input, args.strict, args.out)
-    with _assessed(backend, fusion_cfg, False, args.command) as runs, _out_stream(args.out) as out:
+    with _assessed(backend, fusion_cfg, args.command) as runs, _out_stream(args.out) as out:
         write = out.write
         for text, count in runs:
             write(text)
@@ -402,16 +394,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
     config = _run_config(args)
     webhook_url = args.webhook or config.webhook_url
     tracker = AlertTracker(config.temporal)
-    frames = 0
-    raised = 0
-    events = 0
+    frames = raised = events = 0
 
-    def alert_events(assessed: Iterator[tuple[ThreatAssessment, int]]) -> Iterator[AlertEvent]:
+    def alert_events(assessed: Iterator[tuple]) -> Iterator[AlertEvent]:
         """Each frame's event, then the Cleared events of the final flush."""
         nonlocal frames
-        for assessment, ts_ms in assessed:
+        for frame in assessed:
             frames += 1
-            event = tracker.feed(assessment, ts_ms)
+            event = tracker.feed(*frame)
             if event is not None:
                 yield event
         yield from tracker.flush_all()
@@ -424,7 +414,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     backend = _open_input(args.input, False, args.alerts)
     # The pool's workers, if any, start with the read-ahead, before the
     # sink starts its thread.
-    with (_assessed(backend, config.fusion, True, args.command) as assessed,
+    with (_assessed(backend, config.fusion, args.command) as assessed,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):
         for event in alert_events(assessed):

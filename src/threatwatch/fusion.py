@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterator
 
 from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
@@ -124,10 +125,8 @@ class ThreatAssessment:
 
     The score always lies inside the band of its level; evidence is a list
     of compact tags naming what contributed (pairs, the triggering knife,
-    the classifier verdict, the pose gate outcome). In every assessment
-    that assess_frame returns, evidence is non-empty whenever level is
-    above NONE; the ones that watch's worker pool hands the alert tracker
-    carry none (cli._assessed), since the tracker never reads it.
+    the classifier verdict, the pose gate outcome). Evidence is non-empty
+    whenever level is above NONE.
     """
 
     stream_id: str
@@ -354,7 +353,7 @@ def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offse
     watch, its columns (stream_ids, frame_ids, ts_ms, level values,
     scores), the numbers in arrays and the levels as bytes, so that a run
     crosses to the parent as a few buffers rather than a few objects per
-    frame.
+    frame; watch_run_frames unpacks them.
     """
     frames: list = []
     runs = [frames]
@@ -371,7 +370,7 @@ def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offse
         for record in parse_lines(read_span(path, offset, nbytes), first_line_no,
                                   parse_frame_record, None if strict else cut):
             assessment = assess_frame(record, cfg)
-            frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level.value,
+            frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
                            assessment.score) if compact else serialize_assessment(assessment))
     except (MalformedJson, SchemaViolation) as exc:
         fatal = exc
@@ -387,3 +386,13 @@ def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offse
         packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
                         array("d", scores)), len(run)))
     return packed, bad, fatal
+
+
+# The levels by value, as a packed watch run carries them.
+_LEVELS = tuple(ThreatLevel)
+
+
+def watch_run_frames(columns: tuple) -> Iterator[tuple[str, int, int, ThreatLevel, float]]:
+    """A watch run's frames, (stream_id, frame_id, ts_ms, level, score), unpacked in C."""
+    stream_ids, frame_ids, ts_ms, levels, scores = columns
+    return zip(stream_ids, frame_ids, ts_ms, map(_LEVELS.__getitem__, levels), scores)

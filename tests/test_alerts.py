@@ -52,6 +52,24 @@ def run_machine(seq, cfg, stream="s"):
     ]
 
 
+def feed(tracker, assessment, ts_ms):
+    """tracker.feed over the assessment's fields."""
+    return tracker.feed(assessment.stream_id, assessment.frame_id, ts_ms, assessment.level,
+                        assessment.score)
+
+
+def run_tracker(seq, cfg):
+    """run_machine through AlertTracker.feed and flush_all; also returns
+    the count of frames the tracker dropped."""
+    tracker = AlertTracker(cfg)
+    events = [feed(tracker, a, 33 * (a.frame_id - 1)) for a in seq]
+    events = [e for e in events if e is not None] + tracker.flush_all()
+    return [
+        (e.kind.value, e.frame_id, e.ts_ms, e.level, e.score, e.alert_id)
+        for e in events
+    ], tracker.dropped
+
+
 def expected_events(seq, cfg):
     """Reference trace computed by direct scan over the sequence, written
     against the contract: an alert opens on the n_raise-th consecutive
@@ -369,10 +387,10 @@ def test_tracker_routes_streams_and_counts_drops():
     tracker = AlertTracker(cfg)
     a1 = ThreatAssessment("a", 1, ThreatLevel.GRASPED, 0.75, ())
     b1 = ThreatAssessment("b", 1, ThreatLevel.GRASPED, 0.75, ())
-    e1 = tracker.feed(a1, 0)
-    e2 = tracker.feed(b1, 0)
+    e1 = feed(tracker, a1, 0)
+    e2 = feed(tracker, b1, 0)
     assert e1.alert_id == "a:1" and e2.alert_id == "b:1"
-    assert tracker.feed(a1, 0) is None
+    assert feed(tracker, a1, 0) is None
     assert tracker.dropped == 1
     cleared = tracker.flush_all()
     assert [e.stream_id for e in cleared] == ["a", "b"]
@@ -384,7 +402,7 @@ def test_frame_id_is_the_only_ordering_and_ts_ms_is_stamped_as_given():
     # dropped, and each event carries its frame's ts_ms
     levels = [ThreatLevel.GRASPED] * 3 + [ThreatLevel.OVERHAND_THREAT] + [ThreatLevel.NONE] * 2
     tracker = AlertTracker(TemporalConfig(n_raise=3, n_clear=2))
-    events = [tracker.feed(a, ts_ms)
+    events = [feed(tracker, a, ts_ms)
               for a, ts_ms in zip(assessments(levels), [1000, 900, 800, 700, 650, 600])]
     assert [(e.kind, e.frame_id, e.ts_ms) for e in events if e is not None] == [
         (AlertKind.RAISED, 3, 800), (AlertKind.ESCALATED, 4, 700), (AlertKind.CLEARED, 6, 600)]
@@ -394,6 +412,7 @@ def test_frame_id_is_the_only_ordering_and_ts_ms_is_stamped_as_given():
 
 def test_reference_simulator_agreement_random():
     rng = random.Random(77)
+    repeats = random.Random(78)  # apart, so that rng draws the same sequences
     levels_pool = list(ThreatLevel)
     for _ in range(200):
         cfg = TemporalConfig(n_raise=rng.randint(1, 5), n_clear=rng.randint(1, 8))
@@ -402,7 +421,24 @@ def test_reference_simulator_agreement_random():
         scores = [rng.uniform(*((0.0, 0.0) if lv is ThreatLevel.NONE else (0.4, 1.0)))
                   for lv in levels]
         seq = assessments(levels, scores=scores)
-        assert run_machine(seq, cfg) == expected_events(seq, cfg)
+        expected = expected_events(seq, cfg)
+        assert run_machine(seq, cfg) == expected
+        # AlertTracker.feed gives step's events, also with an earlier frame
+        # fed again now and then, and drops each frame that step refuses
+        fed = []
+        for i, a in enumerate(seq):
+            fed.append(a)
+            if repeats.random() < 0.15:
+                fed.append(seq[repeats.randint(0, i)])
+        state, refused = new_state("s"), 0
+        for a in fed:
+            try:
+                state, _ = step(state, a, cfg)
+            except OutOfOrderFrame:
+                refused += 1
+        assert refused == len(fed) - len(seq)
+        assert run_tracker(seq, cfg) == (expected, 0)
+        assert run_tracker(fed, cfg) == (expected, refused)
 
 
 def test_event_order_and_frame_monotonicity():

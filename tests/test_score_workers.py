@@ -5,9 +5,11 @@ thread runs.
 
 Each test forces the path it wants: a small CHUNK_BYTES and
 POOL_MIN_CHUNKS and two usable CPUs select the worker pool, one usable
-CPU the one-process loop. The pool runs under each start method the
-chooser can pick here, forced through its thread count: one thread picks
-fork on Linux under Python 3.11 or later, two threads pick spawn.
+CPU the one-process loop. The usable CPUs are set through
+os.sched_getaffinity, which is added where the platform lacks it
+(macOS). The pool runs under each start method the chooser can pick
+here, forced through its thread count: one thread picks fork on Linux
+under Python 3.11 or later, two threads pick spawn.
 """
 
 import concurrent.futures
@@ -30,6 +32,7 @@ import pytest
 from threatwatch import cli
 from threatwatch.backends import open_backend
 from threatwatch.cli import main
+from threatwatch.fusion import FusionConfig, ThreatLevel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -78,7 +81,8 @@ def _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, 
     chunks for the pool under either start method (None: the shipped
     ones) and the pool started by method (None: as the chooser finds);
     returns the exit code, the warnings logged and stderr."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
     if min_chunks is not None:
         monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": min_chunks, "spawn": min_chunks})
@@ -301,7 +305,8 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": 2, "spawn": 3})
     cpus = {1: 0, 2: 2, 8: 2}  # two chunks: never more workers than chunks
     for n, workers in cpus.items():
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)),
+                            raising=False)
         assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == workers
         # fewer chunks than spawn's threshold
         assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "spawn") == 0
@@ -315,7 +320,8 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
 def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatch):
     # 2 MiB for a forked pool, 8 MiB for a spawned one
     assert (cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS) == (256 * 1024, {"fork": 8, "spawn": 32})
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     frames = tmp_path / "frames.jsonl"
     for method, min_chunks in cli.POOL_MIN_CHUNKS.items():
         for size, workers in ((min_chunks - 1) * cli.CHUNK_BYTES, 0), \
@@ -587,6 +593,32 @@ def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog,
     # the warnings of both kinds interleave
     assert kinds.index("threatwatch.alerts") < len(kinds) - 1 - kinds[::-1].index(
         "threatwatch.backends")
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplog, method):
+    # The frames watch feeds its alert tracker, not only the bytes it
+    # writes: an int level from the pool would serialize alike.
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(_streams() + HOSTILE)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 300)
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": 2, "spawn": 2})
+    _force(monkeypatch, method)
+    seen = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        backend = open_backend(f"jsonl:{frames}", False)
+        assert bool(cli._pool_workers(backend, method)) == (cpus == 2)
+        with caplog.at_level(logging.WARNING), cli._assessed(backend, FusionConfig(),
+                                                            "watch") as assessed:
+            seen.append(list(assessed))
+    serial, pooled = seen
+    assert len(serial) == 132  # stale frames included: the tracker drops them
+    assert pooled == serial
+    assert [tuple(map(type, frame)) for frame in serial + pooled] == (
+        [(str, int, int, ThreatLevel, float)] * 2 * len(serial))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("data, pools", [(b"{x\n" * 40 + b"[1]\n" + b"\n", WATCH_POOLS),
