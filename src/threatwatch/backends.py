@@ -221,10 +221,11 @@ class SyntheticBackend(DetectorBackend):
 class ReplayBackend(DetectorBackend):
     """Replays a recorded FrameRecord JSONL file, validating every line.
 
-    strict propagates the first bad line; otherwise bad lines are dropped,
-    each logged once and counted in .skipped. Nothing is opened or read
-    until frames() is iterated, and each line is parsed once per pass. A
-    path of "-" reads stdin (single pass); a file can be replayed again.
+    Every bad line, from frames() or a worker process's span, goes through
+    bad_line: strict raises it; otherwise it is dropped, logged once and
+    counted in .skipped. Nothing is opened or read until frames() is
+    iterated, and each line is parsed once per pass. A path of "-" reads
+    stdin (single pass); a file can be replayed again.
     """
 
     def __init__(self, path: str, strict: bool = True) -> None:
@@ -233,9 +234,12 @@ class ReplayBackend(DetectorBackend):
         self.skipped = 0
 
     def frames(self) -> Iterator[FrameRecord]:
-        return read_lines(self.path, parse_frame_record, None if self.strict else self._skip)
+        return read_lines(self.path, parse_frame_record, self.bad_line)
 
-    def _skip(self, exc: ThreatwatchError) -> None:
+    def bad_line(self, exc: ThreatwatchError) -> None:
+        """The bad-line policy for exc, a bad line's error: raise or skip it."""
+        if self.strict:
+            raise exc
         self.skipped += 1
         logger.warning("skipping bad frame line: %s", exc)
 
@@ -254,9 +258,9 @@ def open_backend(uri: str, strict: bool = True) -> DetectorBackend:
     ("-" for stdin), or "extern:<adapter>[:arg]". Raises UnknownScheme for
     anything else and AdapterUnavailable for an unregistered adapter.
 
-    strict is the ReplayBackend bad-line policy for "jsonl:": True stops at
-    the first malformed or invalid line, False logs, counts and drops it.
-    The other schemes do not read recorded lines and ignore it.
+    strict is the ReplayBackend bad-line policy (bad_line) for "jsonl:":
+    True stops at the first malformed or invalid line, False logs, counts
+    and drops it. The other schemes do not read recorded lines and ignore it.
     """
     scheme, sep, rest = uri.partition(":")
     if not sep:

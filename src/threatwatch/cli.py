@@ -20,13 +20,14 @@ score and watch each run one loop over one stream of assessed frames
 parsed and assessed in a pool of worker processes, min(usable CPUs,
 chunks) of them, when two or more CPUs are usable: the parent hands each
 worker a byte range of the file and takes back its frames in runs cut at
-the bad lines, which it logs between the runs. Everything else is read
-and assessed in this process, one record at a time. So the output,
-warnings, counts and errors are the same either way. On Linux under Python
-3.11 or later, a process with one thread forks the workers, from 2 MiB
-(POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them before its
-webhook thread starts; everywhere else they are spawned, from 8 MiB, and
-a script that calls main must do so under `if __name__ == "__main__":`.
+the bad lines, which go through the backend's bad-line policy between
+the runs. Everything else is read and assessed in this process, one
+record at a time. So the output, warnings, counts and errors are the
+same either way. On Linux under Python 3.11 or later, a process with one
+thread forks the workers, from 2 MiB (POOL_MIN_CHUNKS chunks of
+CHUNK_BYTES), and watch forks them before its webhook thread starts;
+everywhere else they are spawned, from 8 MiB, and a script that calls
+main must do so under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -283,10 +284,10 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
     fusion.assess_span with its leading arguments bound, over backend's
     file, one span of CHUNK_BYTES at a time, in a pool of workers
     processes started by method: the spans' non-empty runs of frames, each
-    as (frames, count), in input order. The bad line after each run is
-    logged when the next one is taken, so in line order among the frames
-    the caller takes; under --strict, the runs end with the first bad
-    line's error. At most workers + 1 spans are in flight, and those not
+    as (frames, count), in input order. The bad line after each run goes
+    to backend.bad_line when the next run is taken, so in line order among
+    the frames the caller takes; a strict backend raises it, which ends
+    the runs. At most workers + 1 spans are in flight, and those not
     started are cancelled when the generator ends or is closed. The parent
     hands each worker a byte range, never lines, and a worker that dies
     ends the run with one error, which names the command.
@@ -313,14 +314,12 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
     try:
         with contextlib.closing(chunk_spans(backend.path, CHUNK_BYTES)) as spans:
-            for runs, bad, fatal in results(spans):
+            for runs, bad in results(spans):
                 for run, exc in itertools.zip_longest(runs, bad):
                     if run[1]:
                         yield run
                     if exc is not None:
-                        backend._skip(exc)
-                if fatal is not None:
-                    raise fatal
+                        backend.bad_line(exc)
     except BrokenProcessPool as exc:
         raise ThreatwatchError(f"a {command} worker process died: {exc}") from None
     finally:
@@ -336,14 +335,14 @@ def _assessed(backend: DetectorBackend, cfg: FusionConfig,
     JSONL file is assessed in worker processes (_worker_chunks), anything
     else here, one record at a time. Read ahead to the first frame, so a
     missing or bad input fails before the caller creates any output file;
-    the bad lines before it are logged on the way. The source is closed on
-    exit, which also closes the input file when the output cannot open,
-    and ends the workers."""
+    a replay's bad lines before it go through backend.bad_line on the way,
+    from either path. The source is closed on exit, which also closes the
+    input file when the output cannot open, and ends the workers."""
     watch = command == "watch"
     method = _pool_start_method()
     workers = _pool_workers(backend, method)
-    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, backend.strict, watch),
-                             workers, method, command) if workers else backend.frames())
+    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, watch), workers,
+                             method, command) if workers else backend.frames())
     try:
         if workers and watch:
             assessed = itertools.chain.from_iterable(

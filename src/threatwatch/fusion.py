@@ -16,8 +16,9 @@ Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. Everything here is pure and
 stateless; frames can be assessed in parallel in any order. assess_span
 does so for the worker processes of `score` and `watch`: it assesses one
-span of a JSONL file into runs of frames cut at its bad lines, and imports
-nothing beyond this module and frames.
+span of a JSONL file into runs of frames cut at its bad lines, which it
+hands back for the caller to skip or raise, and imports nothing beyond
+this module, frames and errors.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from typing import Iterator
 
 from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
-                     MalformedJson, PoseKeypoint, SchemaViolation, parse_frame_record, parse_lines,
-                     read_span)
+                     PoseKeypoint, parse_frame_record, parse_lines, read_span)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -337,23 +337,21 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
     )
 
 
-def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offset: int,
-                nbytes: int, first_line_no: int
-                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError],
-                           ThreatwatchError | None]:
+def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
+                first_line_no: int
+                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
     """Parse and assess the frame lines of one span of the file at path
-    (frames.chunk_spans), numbered from first_line_no, as score (compact
-    False) or watch (compact True) does in one process.
+    (frames.chunk_spans), numbered from first_line_no, as score (watch
+    False) or watch does in one process.
 
-    Returns (runs, bad, fatal): the span's frames cut at each bad line
-    skipped, len(bad) + 1 runs, each as (frames, count); those lines'
-    exceptions, in line order; and, when strict, the first bad line's
-    exception, where the span stopped, else None. A run's frames are, for
-    score, its assessment lines as one string, each ended by LF; for
-    watch, its columns (stream_ids, frame_ids, ts_ms, level values,
-    scores), the numbers in arrays and the levels as bytes, so that a run
-    crosses to the parent as a few buffers rather than a few objects per
-    frame; watch_run_frames unpacks them.
+    Returns (runs, bad): the span's frames cut at each bad line, len(bad)
+    + 1 runs, each as (frames, count); and those lines' exceptions, in
+    line order, for the caller's bad-line policy to skip or raise. A run's
+    frames are, for score, its assessment lines as one string, each ended
+    by LF; for watch, its columns (stream_ids, frame_ids, ts_ms, level
+    values, scores), the numbers in arrays and the levels as bytes, so
+    that a run crosses to the parent as a few buffers rather than a few
+    objects per frame; watch_run_frames unpacks them.
     """
     frames: list = []
     runs = [frames]
@@ -365,17 +363,13 @@ def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offse
         frames = []
         runs.append(frames)
 
-    fatal = None
-    try:
-        for record in parse_lines(read_span(path, offset, nbytes), first_line_no,
-                                  parse_frame_record, None if strict else cut):
-            assessment = assess_frame(record, cfg)
-            frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
-                           assessment.score) if compact else serialize_assessment(assessment))
-    except (MalformedJson, SchemaViolation) as exc:
-        fatal = exc
-    if not compact:
-        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs], bad, fatal
+    for record in parse_lines(read_span(path, offset, nbytes), first_line_no, parse_frame_record,
+                              cut):
+        assessment = assess_frame(record, cfg)
+        frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
+                       assessment.score) if watch else serialize_assessment(assessment))
+    if not watch:
+        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs], bad
     # Imported here, so that one-process runs do not load it.
     from array import array
 
@@ -385,7 +379,7 @@ def assess_span(cfg: FusionConfig, strict: bool, compact: bool, path: str, offse
         # frame_id and ts_ms are uint64 (frames._record_error).
         packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
                         array("d", scores)), len(run)))
-    return packed, bad, fatal
+    return packed, bad
 
 
 # The levels by value, as a packed watch run carries them.

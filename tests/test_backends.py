@@ -164,7 +164,7 @@ def test_replay_backend_round_trip(tmp_path):
     assert list(backend.frames()) == records
 
 
-def test_replay_skip_counts_bad_lines(tmp_path):
+def test_replay_skip_counts_bad_lines(tmp_path, caplog):
     good = '{"stream_id":"c","frame_id":1,"ts_ms":0}'
     path = _write_jsonl(tmp_path, "mixed.jsonl", [good, "{broken", good.replace('"frame_id":1', '"frame_id":2')])
     backend = ReplayBackend(path, strict=False)
@@ -175,6 +175,21 @@ def test_replay_skip_counts_bad_lines(tmp_path):
     with pytest.raises(MalformedJson) as exc_info:
         list(strict.frames())
     assert exc_info.value.line_no == 2
+
+    # bad_line, the policy that a worker process's reported lines go
+    # through too: strict raises the very error, lenient counts and logs it
+    error = MalformedJson(7, "x")
+    with pytest.raises(MalformedJson) as exc_info:
+        strict.bad_line(error)
+    assert exc_info.value is error
+    assert strict.skipped == 0
+    lenient = ReplayBackend(path, strict=False)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="threatwatch.backends"):
+        lenient.bad_line(error)
+    assert lenient.skipped == 1
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("threatwatch.backends", "WARNING", f"skipping bad frame line: {error}")]
 
 
 def test_replay_bad_leading_line_warns_once(tmp_path, caplog):

@@ -48,9 +48,8 @@ def test_score_runs_are_cut_at_each_bad_line(frames_file, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["score", "--input", str(frames_file), "--out", str(out)]) == 0
     capsys.readouterr()
-    runs, bad, fatal = assess_span(FusionConfig(), False, False, str(frames_file), 0,
-                                   frames_file.stat().st_size, 1)
-    assert fatal is None
+    runs, bad = assess_span(FusionConfig(), False, str(frames_file), 0,
+                            frames_file.stat().st_size, 1)
     assert [exc.line_no for exc in bad] == _BAD_LINE_NOS
     assert len(runs) == len(bad) + 1
     assert [count for _, count in runs] == [0, 2, 0, 1, 3, 0]
@@ -60,9 +59,7 @@ def test_score_runs_are_cut_at_each_bad_line(frames_file, tmp_path, capsys):
 
 def test_watch_runs_are_columns_cut_at_each_bad_line(frames_file):
     cfg = FusionConfig()
-    runs, bad, fatal = assess_span(cfg, False, True, str(frames_file), 0,
-                                   frames_file.stat().st_size, 1)
-    assert fatal is None
+    runs, bad = assess_span(cfg, True, str(frames_file), 0, frames_file.stat().st_size, 1)
     assert [exc.line_no for exc in bad] == _BAD_LINE_NOS
     assert len(runs) == len(bad) + 1
     assert [count for _, count in runs] == [0, 2, 0, 1, 3, 0]
@@ -81,25 +78,13 @@ def test_watch_runs_are_columns_cut_at_each_bad_line(frames_file):
 @pytest.mark.parametrize("size", [1, 40, 200])
 def test_runs_of_small_spans_join_to_those_of_one_span(frames_file, size):
     path = str(frames_file)
-    whole, _, _ = assess_span(FusionConfig(), False, False, path, 0, frames_file.stat().st_size, 1)
-    parts = [assess_span(FusionConfig(), False, False, path, *span)
-             for span in chunk_spans(path, size)]
+    whole, _ = assess_span(FusionConfig(), False, path, 0, frames_file.stat().st_size, 1)
+    parts = [assess_span(FusionConfig(), False, path, *span) for span in chunk_spans(path, size)]
     assert len(parts) > 1
-    assert [exc.line_no for _, bad, _ in parts for exc in bad] == _BAD_LINE_NOS
-    assert all(len(runs) == len(bad) + 1 for runs, bad, _ in parts)
-    assert ("".join(text for runs, _, _ in parts for text, _ in runs)
+    assert [exc.line_no for _, bad in parts for exc in bad] == _BAD_LINE_NOS
+    assert all(len(runs) == len(bad) + 1 for runs, bad in parts)
+    assert ("".join(text for runs, _ in parts for text, _ in runs)
             == "".join(text for text, _ in whole))
-
-
-@pytest.mark.parametrize("compact", [False, True])
-def test_strict_span_is_one_run_and_its_error(frames_file, compact):
-    lines = _LINES[1:]  # the first bad line is now the third
-    frames_file.write_text("".join(lines))
-    runs, bad, fatal = assess_span(FusionConfig(), True, compact, str(frames_file), 0,
-                                   frames_file.stat().st_size, 1)
-    assert bad == []
-    assert [count for _, count in runs] == [2]
-    assert fatal is not None and fatal.line_no == 3
 
 
 # Runs one command through cli.main, then prints the pool modules loaded.

@@ -78,6 +78,16 @@ def test_importing_a_submodule_loads_no_http_client():
     assert done.stdout == "[]\n"
 
 
+def test_fusion_loads_only_what_a_spawned_worker_needs():
+    # A spawned worker imports fusion to run assess_span, and nothing else
+    # of the package.
+    done = _python("import sys, threatwatch.fusion\n"
+                   "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'threatwatch'))")
+    assert done.returncode == 0, done.stderr
+    loaded = ["threatwatch", "threatwatch.errors", "threatwatch.frames", "threatwatch.fusion"]
+    assert done.stdout == f"{loaded}\n"
+
+
 def test_webhook_posts_without_urllib_request():
     done = _python("import sys, threatwatch.webhook\n"
                    "print(sorted(m for m in ('urllib.request', 'urllib.error') if m in sys.modules))")

@@ -32,6 +32,7 @@ import pytest
 from threatwatch import cli
 from threatwatch.backends import open_backend
 from threatwatch.cli import main
+from threatwatch.frames import chunk_spans
 from threatwatch.fusion import FusionConfig, ThreatLevel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -196,6 +197,25 @@ def test_strict_stops_at_the_first_bad_line(tmp_path, monkeypatch, caplog, capsy
         assert out == b"earlier run\n"
     else:
         assert out.count(b"\n") == first_bad - 1
+
+
+def test_strict_raises_the_first_of_two_bad_lines_in_one_span(tmp_path, monkeypatch, caplog,
+                                                               capsys):
+    # A worker reports every bad line of its span; the parent's policy
+    # raises the first and logs neither.
+    lines = [_line(i) + b"\n" for i in range(1, 40)]
+    lines[9:11] = [b"{broken\n", b"[1]\n"]
+    serial, *pools = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog, capsys,
+                                      2000, ["--strict"])
+    spans = list(chunk_spans(str(tmp_path / "frames.jsonl"), 2000))
+    assert len(spans) > 1 and spans[0][2] < 10 < 11 < spans[1][2]
+    assert pools == [serial] * len(START_METHODS)
+    (code, summary, warnings, errors), out = serial
+    assert code == 1 and summary is None and warnings == []
+    assert errors == ["error: line 10: malformed JSON: "
+                      "Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"]
+    assert [json.loads(line)["frame_id"] for line in out.splitlines()] == list(range(1, 10))
 
 
 def test_missing_input_exits_2_and_leaves_out_untouched(tmp_path, monkeypatch, caplog, capsys):
