@@ -23,11 +23,11 @@ worker a byte range of the file and takes back its frames in runs cut at
 the bad lines, which go through the backend's bad-line policy between
 the runs. Everything else is read and assessed in this process, one
 record at a time. So the output, warnings, counts and errors are the
-same either way. On Linux under Python 3.11 or later, a process with one
-thread forks the workers, from 2 MiB (POOL_MIN_CHUNKS chunks of
-CHUNK_BYTES), and watch forks them before its webhook thread starts;
-everywhere else they are spawned, from 8 MiB, and a script that calls
-main must do so under `if __name__ == "__main__":`.
+same either way. On Linux, a process with one thread forks the workers,
+from 2 MiB (POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them
+before its webhook thread starts; everywhere else they are spawned, from
+8 MiB, and a script that calls main must do so under
+`if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -248,11 +248,10 @@ POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
 
 def _pool_start_method() -> str:
     """How score and watch start their worker processes: "fork" on Linux
-    under Python 3.11 or later while this process runs one thread, else
-    "spawn". Forking a process that holds threads can deadlock the child;
-    macOS's system libraries are unsafe across fork; and before 3.11 the
-    pool may fork a worker after its manager thread has started."""
-    if sys.platform == "linux" and sys.version_info >= (3, 11) and threading.active_count() == 1:
+    while this process runs one thread, else "spawn". Forking a process
+    that holds threads can deadlock the child, and macOS's system
+    libraries are unsafe across fork."""
+    if sys.platform == "linux" and threading.active_count() == 1:
         return "fork"
     return "spawn"
 

@@ -610,8 +610,9 @@ def parse_frame_record(line: str, line_no: int = 0) -> FrameRecord:
     return _parse_line(line, line_no, _frame_record)
 
 
-def frame_record_to_dict(record: FrameRecord) -> dict:
-    """Wire-shaped dict for a record; optional fields omitted when absent/empty."""
+def serialize_frame_record(record: FrameRecord) -> str:
+    """One compact JSON line (no trailing newline), optional fields omitted
+    when absent or empty. Round-trips through parse."""
     out: dict = {
         "stream_id": record.stream_id,
         "frame_id": record.frame_id,
@@ -636,12 +637,7 @@ def frame_record_to_dict(record: FrameRecord) -> dict:
         out["keypoints"] = [
             {"name": k.name, "x": k.x, "y": k.y, "conf": k.conf} for k in record.keypoints
         ]
-    return out
-
-
-def serialize_frame_record(record: FrameRecord) -> str:
-    """One compact JSON line (no trailing newline). Round-trips through parse."""
-    return json.dumps(frame_record_to_dict(record), separators=(",", ":"))
+    return json.dumps(out, separators=(",", ":"))
 
 
 def _manifest_entry(obj: dict) -> ManifestEntry:

@@ -129,6 +129,16 @@ def test_script_from_dict_validation():
         script_from_dict({"segments": [{"scene": "empty", "duration_frames": 1}], "seed": "x"})
     with pytest.raises(BadScript):
         script_from_dict([1, 2])
+    for data, message in [
+        ({"segments": [7]}, "segments[0] must be an object"),
+        ({"segments": [{"scene": "empty", "duration_frames": 1, "noise": "x"}]},
+         "segments[0]: noise must be a number"),
+        ({"segments": [{"scene": "empty", "duration_frames": 1}], "stream_id": 5},
+         "stream_id must be a string"),
+    ]:
+        with pytest.raises(BadScript) as exc_info:
+            script_from_dict(data)
+        assert str(exc_info.value) == message
 
 
 def test_load_script_file(tmp_path):

@@ -111,9 +111,13 @@ def test_split_non_finite_ratio_exits_1(tmp_path, capsys, bad, position):
     assert not out.exists()
 
 
-def test_split_unparseable_ratio_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["split", "--manifest", "x", "--ratios", "a,b,c"])
+def test_split_unparseable_ratio_is_usage_error(capsys):
+    for ratios, reason in [("a,b,c", "ratios must be numeric"),
+                           ("0.5,0.5", "ratios must be three comma-separated numbers")]:
+        with pytest.raises(SystemExit) as exited:
+            main(["split", "--manifest", "x", "--ratios", ratios])
+        assert exited.value.code == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_score_file_to_file(tmp_path, capsys):
@@ -382,6 +386,17 @@ def test_eval_json_report(tmp_path, capsys):
     assert data["sources"]["predictions"].endswith("reported_accuracy_predictions.jsonl")
     by_label = {c["label"]: c for c in data["classes"]}
     assert by_label["threat"]["correct"] == 524
+
+
+def test_eval_both_inputs_on_stdin_rejected(tmp_path, capsys, monkeypatch):
+    stdin = io.BytesIO(b'{"sample_id":"a","label":"threat"}\n')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    report = tmp_path / "report.txt"
+    assert main(["eval", "--pred", "-", "--labels", "-", "--report", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: predictions and labels cannot both come from stdin"]
+    assert stdin.tell() == 0
+    assert not report.exists()
 
 
 def test_eval_unknown_sample_exits_1(tmp_path, capsys):

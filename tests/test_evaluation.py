@@ -293,5 +293,7 @@ def test_parse_prediction_lines():
         parse_prediction('{"sample_id":"img9","predicted":"maybe"}', 4)
     with pytest.raises(SchemaViolation):
         parse_prediction('{"predicted":"hand"}', 4)
+    with pytest.raises(SchemaViolation, match=r"^line 4: \$\.predicted: expected a string$"):
+        parse_prediction('{"sample_id":"img9","predicted":["hand"]}', 4)
     with pytest.raises(MalformedJson, match=r"^line 4: malformed JSON: expected a JSON object, got list$"):
         parse_prediction('[{"sample_id":"img9","predicted":"hand"}]', 4)

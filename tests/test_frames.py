@@ -127,6 +127,11 @@ def test_scores_tolerance():
         ClassScores(0.4, 0.4, 0.1)
 
 
+def test_keypoint_bounds():
+    with pytest.raises(ValueError, match=r"^x must be within \[0, 1\], got 1\.5$"):
+        PoseKeypoint("right_wrist", 1.5, 0.5, 0.9)
+
+
 def test_keypoint_kind_mapping():
     assert PoseKeypoint("wrist", 0.5, 0.5, 0.9).kind() is KeypointKind.WRIST
     assert PoseKeypoint("left_wrist", 0.5, 0.5, 0.9).kind() is KeypointKind.WRIST
@@ -182,6 +187,13 @@ def test_manifest_entry_parse():
     assert entry == ManifestEntry("img-1", ManifestLabel.THREAT)
     with pytest.raises(SchemaViolation):
         parse_manifest_entry('{"sample_id":"img-1","label":"weapon"}')
+    for line, message in [
+        ('{"sample_id":"","label":"threat"}', "line 4: $.sample_id: must be non-empty"),
+        ('{"sample_id":"img-1","label":3}', "line 4: $.label: expected a string, got 3"),
+    ]:
+        with pytest.raises(SchemaViolation) as exc_info:
+            parse_manifest_entry(line, 4)
+        assert str(exc_info.value) == message
 
 
 def test_manifest_hostile_line_is_malformed_json():

@@ -6,20 +6,23 @@ import importlib
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
 import threatwatch
 from threatwatch.alerts import OutOfOrderFrame
 from threatwatch.backends import AdapterUnavailable, BadScript, UnknownScheme
-from threatwatch.cli import BadConfig
+from threatwatch.cli import BadConfig, main
 from threatwatch.errors import ThreatwatchError
 from threatwatch.evaluation import BadRatios, DuplicatePrediction, MissingPrediction, UnknownSample
 from threatwatch.frames import DuplicateSampleId, EmptyManifest, MalformedJson, SchemaViolation
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # The public names of the package, as listed by its __all__ before the
 # names were resolved lazily, less AlertPhase and report_from_json, which
@@ -113,6 +116,28 @@ def test_package_imports_only_the_standard_library():
 def test_importing_main_module_runs_nothing():
     done = _python("import threatwatch.__main__")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def _project():
+    """pyproject.toml's [project] table."""
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
+def test_console_script_is_cli_main():
+    module, _, name = _project()["scripts"]["threatwatch"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
+def test_python_floor_is_the_lowest_ci_version():
+    requires = _project()["requires-python"]
+    floor = re.fullmatch(r">=(\d+)\.(\d+)", requires)
+    assert floor, requires
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    versions = [tuple(map(int, v)) for line in workflow.splitlines()
+                if line.strip().startswith("python-version:")
+                for v in re.findall(r'"(\d+)\.(\d+)"', line)]
+    assert versions
+    assert min(versions) == tuple(map(int, floor.groups()))
 
 
 ERRORS = [

@@ -8,8 +8,8 @@ POOL_MIN_CHUNKS and two usable CPUs select the worker pool, one usable
 CPU the one-process loop. The usable CPUs are set through
 os.sched_getaffinity, which is added where the platform lacks it
 (macOS). The pool runs under each start method the chooser can pick
-here, forced through its thread count: one thread picks fork on Linux
-under Python 3.11 or later, two threads pick spawn.
+here, forced through its thread count: one thread picks fork on Linux,
+two threads pick spawn.
 """
 
 import concurrent.futures
@@ -41,8 +41,7 @@ SUMMARY_RE = re.compile(r"summary: frames=(\d+) skipped=(\d+) elapsed_s=[\d.]+ r
 TIMINGS_RE = re.compile(r" elapsed_s=[\d.]+ rate_fps=[\d.]+$")
 
 # The start methods the chooser can pick on this platform.
-START_METHODS = (("fork", "spawn") if sys.platform == "linux" and sys.version_info >= (3, 11)
-                 else ("spawn",))
+START_METHODS = ("fork", "spawn") if sys.platform == "linux" else ("spawn",)
 
 
 def _force(monkeypatch, method):
@@ -448,7 +447,7 @@ def test_worker_death_exits_1_without_hanging(tmp_path):
         assert left == "0"
 
 
-@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux, 3.11+")
+@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux")
 def test_stdout_from_the_forked_pool_matches_one_process(tmp_path):
     # Children forked with "head" still buffered would write it again if
     # they flushed it; the pool's fork flushes first, and its workers
@@ -466,17 +465,14 @@ def test_stdout_from_the_forked_pool_matches_one_process(tmp_path):
     assert pools == ["pool: fork"]
 
 
-def test_pool_forks_only_on_linux_from_311_with_one_thread(monkeypatch):
+def test_pool_forks_only_on_linux_with_one_thread(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 1)
-    monkeypatch.setattr(sys, "platform", "linux")
-    with monkeypatch.context() as patched:
-        patched.setattr(sys, "version_info", (3, 11, 0, "final", 0))
-        assert cli._pool_start_method() == "fork"
-        patched.setattr(sys, "version_info", (3, 10, 13, "final", 0))
-        assert cli._pool_start_method() == "spawn"
-    for platform in ("darwin", "win32"):
+    for platform, method in [("linux", "fork"), ("darwin", "spawn"), ("win32", "spawn")]:
         monkeypatch.setattr(sys, "platform", platform)
-        assert cli._pool_start_method() == "spawn"
+        assert cli._pool_start_method() == method
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert cli._pool_start_method() == "spawn"
 
 
 def test_a_live_thread_keeps_the_pool_on_spawn(tmp_path, monkeypatch, caplog, capsys):
@@ -731,7 +727,7 @@ def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
                         "webhook: delivered=17 failed=0 dropped=0", "0"]
 
 
-@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux, 3.11+")
+@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux")
 def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, receiver):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams())

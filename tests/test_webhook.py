@@ -200,6 +200,35 @@ def test_close_gives_up_on_a_hung_endpoint(monkeypatch, max_queue):
     assert (sink.delivered, sink.failed, sink.dropped) == counts
 
 
+def test_close_gives_up_when_stop_cannot_be_queued(monkeypatch):
+    # The worker's first POST, to a listener that never accepts, outlasts
+    # CLOSE_WAIT_S, and the one-slot queue stays full all the while, so
+    # close() finds no room for its stop.
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 1.0)
+    monkeypatch.setattr(webhook, "CLOSE_WAIT_S", 0.3)
+    monkeypatch.setattr(webhook, "MAX_QUEUE", 1)
+    with socket.create_server(("127.0.0.1", 0), backlog=16) as listener:
+        sink = WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook")
+        sink.send(EVENT)
+        deadline = time.monotonic() + 5
+        while not sink._queue.empty() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert sink._queue.empty()  # the worker has taken the first event
+        sink.send(EVENT)  # queued
+        sink.send(EVENT)  # dropped: the queue is full
+        started = time.perf_counter()
+        sink.close()
+        elapsed = time.perf_counter() - started
+        counts = (sink.delivered, sink.failed, sink.dropped)
+        assert list(sink._queue.queue) == [EVENT]  # the stop never went in
+    sink._worker.join(timeout=5)
+    assert not sink._worker.is_alive()
+    assert 0.3 <= elapsed < 0.3 + 0.5
+    assert counts == (0, 0, 3)
+    # The worker counts nothing after close() gave up on it.
+    assert (sink.delivered, sink.failed, sink.dropped) == counts
+
+
 class _KeepAlive(_Recorder):
     """_Recorder over HTTP/1.1: the connection stays open between POSTs.
     Counts the connections it was handed."""
