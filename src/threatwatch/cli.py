@@ -406,7 +406,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     if webhook_url:
         # Imported only when used: its HTTP client is most of the package's
-        # import time and memory.
+        # import time and memory, though it leaves out ssl, which only an
+        # https:// connection imports.
         from .webhook import WebhookSink
     started = time.perf_counter()
     backend = _open_input(args.input, False, args.alerts)

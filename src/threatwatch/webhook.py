@@ -13,11 +13,20 @@ attempt fails. A kept-alive connection that the server closed while it
 was idle fails before any reply; the attempt then goes again on a new
 connection, so a stale socket does not use up the retry. Only a 2xx reply
 counts as delivered: a redirect is not followed, and no proxy is used.
+
+An http:// webhook loads no ssl, which is most of what http.client would
+cost in memory: the sink uses a private copy of http.client whose own
+`import ssl` fails, and which goes into no sys.modules entry, so other
+code in the process still gets the whole module. An https:// connection
+imports ssl when it first opens and checks the certificate and the host
+name as HTTPSConnection's default context does; where ssl cannot be
+imported, every event counts as failed.
 """
 
 from __future__ import annotations
 
-import http.client
+import builtins
+import importlib.util
 import logging
 import queue
 import threading
@@ -42,18 +51,58 @@ _HEADERS = {"Content-Type": "application/json"}
 _STALE = (BrokenPipeError, ConnectionAbortedError, ConnectionResetError)
 
 
-def _connection(url: str) -> tuple[http.client.HTTPConnection | None, str]:
+def _import_all_but_ssl(name, *args, **kwargs):
+    if name == "ssl":
+        raise ImportError("ssl is imported only when an https connection opens")
+    return builtins.__import__(name, *args, **kwargs)
+
+
+def _load_http_client():
+    """A private copy of http.client that runs its own imports through
+    _import_all_but_ssl, so it has no HTTPSConnection and leaves
+    sys.modules as it was."""
+    spec = importlib.util.find_spec("http.client")
+    module = importlib.util.module_from_spec(spec)
+    module.__builtins__ = dict(vars(builtins), __import__=_import_all_but_ssl)
+    spec.loader.exec_module(module)
+    return module
+
+
+_client = _load_http_client()
+
+
+class _HTTPSConnection(_client.HTTPConnection):
+    """HTTPSConnection with its default context, which imports ssl when it
+    first connects instead of when http.client is imported."""
+
+    default_port = _client.HTTPS_PORT
+    _context = None
+
+    def connect(self) -> None:
+        import ssl  # an ImportError fails the attempt like any other error
+        if self._context is None:
+            # As http.client.HTTPSConnection makes its default context.
+            context = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
+            self._context = context
+        super().connect()
+        self.sock = self._context.wrap_socket(self.sock, server_hostname=self.host)
+
+
+def _connection(url: str) -> tuple[_client.HTTPConnection | None, str]:
     """An unopened connection to url's server and the path to POST to, or
     (None, "") for a URL that cannot be posted to: one with no host, a
     scheme other than http and https, or a malformed port or host."""
     try:
         parts = urlsplit(url)
-        connection = {"http": http.client.HTTPConnection,
-                      "https": getattr(http.client, "HTTPSConnection", None)}.get(parts.scheme)
+        connection = {"http": _client.HTTPConnection,
+                      "https": _HTTPSConnection}.get(parts.scheme)
         if connection is None or not parts.hostname:
             return None, ""
         conn = connection(parts.hostname, parts.port, timeout=TIMEOUT_S)
-    except (ValueError, http.client.InvalidURL):
+    except (ValueError, _client.InvalidURL):
         return None, ""
     return conn, (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
 
@@ -157,12 +206,13 @@ class WebhookSink:
             with response:
                 response.read()
                 return 200 <= response.status < 300
-        except (OSError, ValueError, http.client.HTTPException):
+        except (OSError, ValueError, ImportError, _client.HTTPException):
             # ValueError: a path or host that does not encode.
+            # ImportError: an https URL where ssl cannot be imported.
             # HTTPException: a reply that is not HTTP.
             self._conn.close()
             return False
 
-    def _reply(self, body: bytes) -> http.client.HTTPResponse:
+    def _reply(self, body: bytes) -> _client.HTTPResponse:
         self._conn.request("POST", self._path, body, _HEADERS)
         return self._conn.getresponse()

@@ -92,10 +92,19 @@ def test_fusion_loads_only_what_a_spawned_worker_needs():
 
 
 def test_webhook_posts_without_urllib_request():
+    # nor ssl, which only an https:// connection imports
     done = _python("import sys, threatwatch.webhook\n"
-                   "print(sorted(m for m in ('urllib.request', 'urllib.error') if m in sys.modules))")
+                   "print(sorted(m for m in ('urllib.request', 'urllib.error', 'ssl')"
+                   " if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_webhook_leaves_https_to_other_code():
+    done = _python("import threatwatch.webhook, http.client, urllib.request\n"
+                   "print(http.client.HTTPSConnection.__name__, urllib.request.HTTPSHandler.__name__)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "HTTPSConnection HTTPSHandler\n"
 
 
 def test_package_imports_only_the_standard_library():

@@ -384,7 +384,7 @@ def test_cpu_count_stands_in_where_affinity_is_unknown(tmp_path, monkeypatch, ca
 # "die", workers that exit at once. It writes "head" to stdout, unflushed,
 # before running; logs each pool's start method on stderr; and ends by
 # printing how many child processes are left and, for ACTION "forks", how
-# many threads ran at each fork.
+# many threads ran at each fork or, for ACTION "ssl", whether ssl was loaded.
 RUNNER = """\
 import multiprocessing
 import os
@@ -420,6 +420,8 @@ if __name__ == "__main__":
     print(len(multiprocessing.active_children()), file=sys.stderr)
     if action == "forks":
         print(f"threads at each fork: {forks}", file=sys.stderr)
+    if action == "ssl":
+        print(f"ssl loaded: {'ssl' in sys.modules}", file=sys.stderr)
     sys.exit(code)
 """
 
@@ -711,7 +713,7 @@ def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
     url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
     runs = []
     for cpus, method in [(1, START_METHODS[0]), *((2, m) for m in START_METHODS)]:
-        done = _run_script(tmp_path, cpus, method, "run", "watch", "--input", str(frames),
+        done = _run_script(tmp_path, cpus, method, "ssl", "watch", "--input", str(frames),
                            "--alerts", "-", "--webhook", url)
         err = [line for line in _untimed(done.stderr.decode()) if not line.startswith("pool: ")]
         runs.append((done.returncode, done.stdout, err, receiver.bodies[:]))
@@ -723,8 +725,9 @@ def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
     code, stdout, err, bodies = serial
     assert code == 0 and stdout.startswith(b"head\n")
     assert bodies == stdout.splitlines()[1:] and len(bodies) == 17
-    assert err[-3:] == ["summary: frames=127 skipped=10 dropped=7 alerts_raised=6 events=17",
-                        "webhook: delivered=17 failed=0 dropped=0", "0"]
+    # an http:// webhook loads no ssl
+    assert err[-4:] == ["summary: frames=127 skipped=10 dropped=7 alerts_raised=6 events=17",
+                        "webhook: delivered=17 failed=0 dropped=0", "0", "ssl loaded: False"]
 
 
 @pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux")

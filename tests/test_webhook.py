@@ -1,8 +1,13 @@
 """Webhook sink: delivery, retry, and never-blocking guarantees."""
 
+import http.client
 import json
 import re
+import shutil
 import socket
+import ssl
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -346,3 +351,60 @@ def test_url_that_cannot_be_posted_to_counts_as_failed(monkeypatch, url):
     assert uncaught == []
     assert (sink.delivered, sink.failed, sink.dropped) == (0, 2, 0)
 
+
+class _TLSRecorder(_Recorder):
+    """_Recorder that notes the ALPN protocol each connection agreed."""
+
+    def do_POST(self):
+        self.server.alpn.append(self.request.selected_alpn_protocol())
+        super().do_POST()
+
+
+@pytest.fixture
+def tls_server(tmp_path):
+    """A loopback HTTPS server with a certificate for localhost, made at
+    test time; yields the server and the certificate's path."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl binary to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                    "-keyout", str(key), "-out", str(cert), "-subj", "/CN=localhost",
+                    "-addext", "subjectAltName=DNS:localhost"],
+                   check=True, capture_output=True, timeout=60)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    context.set_alpn_protocols(["http/1.1"])
+    server, thread, _ = _serve(_TLSRecorder)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    server.alpn = []
+    yield server, cert
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("host, trusted, has_ssl, delivered", [
+    ("localhost", True, True, 1),
+    ("127.0.0.1", True, True, 0),
+    ("localhost", False, True, 0),
+    ("localhost", True, False, 0),
+], ids=["delivered", "host_name_mismatch", "untrusted", "no_ssl"])
+def test_https_checks_the_certificate_and_the_host_name(monkeypatch, tls_server, host, trusted,
+                                                        has_ssl, delivered):
+    server, cert = tls_server
+    # the sink's own copy of http.client, even with the real one loaded
+    assert webhook._client is not http.client
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    if not has_ssl:
+        monkeypatch.setitem(sys.modules, "ssl", None)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with WebhookSink(f"https://{host}:{server.server_address[1]}/hook") as sink:
+        sink.send(EVENT)
+    assert uncaught == []
+    assert (sink.delivered, sink.failed, sink.dropped) == (delivered, 1 - delivered, 0)
+    assert server.requests == [("/hook", serialize_alert_event(EVENT).encode())] * delivered
+    assert server.alpn == ["http/1.1"] * delivered
