@@ -93,6 +93,11 @@ class ScenarioScript:
         if not self.stream_id:
             raise BadScript("stream_id must be non-empty")
 
+    @property
+    def frame_count(self) -> int:
+        """How many frames the script makes."""
+        return sum(segment.duration_frames for segment in self.segments)
+
 
 def script_from_dict(data: dict) -> ScenarioScript:
     """Build a script from its JSON form: {"segments": [{"scene": ...,
@@ -165,16 +170,33 @@ _FRAME_INTERVAL_MS = 33
 _KEYPOINT_CONF = 0.85
 
 
-def synthesize(script: ScenarioScript, seed: int | None = None) -> Iterator[FrameRecord]:
+# Frames per span of the script's output; synthesize's parts are whole
+# spans, and score's forked workers (cli._forked_synthetic) hand the parent
+# one span at a time. On 2 CPUs, score on the benchmark's 60k-frame
+# synth-score script, 15 alternating runs per size: 256 to 8,192 frames
+# all ran at 113-123k fps in the median, within one another's quartiles,
+# but the peak RSS (wait4, 3 runs) grew with the parent's span buffers:
+# 17.1 MB at 256 and 512, 17.9 at 1,024, 19.0 at 2,048, 25.2 at 8,192.
+SYNTH_SPAN_FRAMES = 512
+
+
+def synthesize(script: ScenarioScript, seed: int | None = None, part: int = 0,
+               parts: int = 1) -> Iterator[FrameRecord]:
     """Generate the script's frames in order, frame_id from 1, timestamps
     spaced 33 ms apart. Detection confidences are 0.90 + U[0,1) * noise
     per segment; everything else is fixed per scene, so identical (script,
     seed) yields byte-identical serialized output. seed overrides the
     script's own when given.
+
+    part and parts split the output into spans of SYNTH_SPAN_FRAMES frames
+    and keep spans part, part + parts, ...: every other span's draws are
+    made and discarded, so each frame is the one the whole run makes, and
+    the parts' spans taken in turn are the whole run.
     """
     draw = random.Random(script.seed if seed is None else seed).random
     stream_id = script.stream_id
-    frame_id = 0
+    span = SYNTH_SPAN_FRAMES
+    last = 0
     for segment in script.segments:
         scene = segment.scene
         noise = segment.noise
@@ -188,15 +210,25 @@ def synthesize(script: ScenarioScript, seed: int | None = None) -> Iterator[Fram
         ]
         wrist = _WRISTS.get(scene)
         keypoints = () if wrist is None else (PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF),)
-        first = frame_id + 1
-        frame_id += segment.duration_frames
-        for fid in range(first, frame_id + 1):
-            # Every value below is valid by construction (conf lies in
-            # [0.90, 1.0) because noise <= 0.1, a mask covers 0.6 of its
-            # box), so the records skip the constructors' checks.
-            detections = tuple([_new_detection(label, box, 0.90 + draw() * noise, mask_area)
-                                for label, box, mask_area in templates])
-            yield _new_record(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores, detections, keypoints)
+        first = last + 1
+        last += segment.duration_frames
+        # The segment's frames, cut at the span edges.
+        while first <= last:
+            end = min(last, (first - 1) // span * span + span)
+            if (first - 1) // span % parts == part:
+                for fid in range(first, end + 1):
+                    # Every value below is valid by construction (conf lies
+                    # in [0.90, 1.0) because noise <= 0.1, a mask covers 0.6
+                    # of its box), so the records skip the constructors'
+                    # checks.
+                    detections = tuple([_new_detection(label, box, 0.90 + draw() * noise, mask_area)
+                                        for label, box, mask_area in templates])
+                    yield _new_record(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores, detections,
+                                      keypoints)
+            else:
+                for _ in range(len(templates) * (end - first + 1)):
+                    draw()
+            first = end + 1
 
 
 class DetectorBackend(ABC):

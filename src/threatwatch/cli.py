@@ -16,18 +16,23 @@ with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
 score and watch each run one loop over one stream of assessed frames
-(_assessed), which comes from one of two places. A large JSONL file is
-parsed and assessed in a pool of worker processes, min(usable CPUs,
-chunks) of them, when two or more CPUs are usable: the parent hands each
-worker a byte range of the file and takes back its frames in runs cut at
-the bad lines, which go through the backend's bad-line policy between
-the runs. Everything else is read and assessed in this process, one
-record at a time. So the output, warnings, counts and errors are the
-same either way. On Linux, a process with one thread forks the workers,
-from 2 MiB (POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them
-before its webhook thread starts; everywhere else they are spawned, from
-8 MiB, and a script that calls main must do so under
-`if __name__ == "__main__":`.
+(_assessed), which comes from one of three places, and the worker
+processes of the first two are used only when two or more CPUs are
+usable. A large JSONL file is parsed and assessed in a pool of worker
+processes, min(usable CPUs, chunks) of them: the parent hands each worker
+a byte range of the file and takes back its frames in runs cut at the
+bad lines, which go through the backend's bad-line policy between the
+runs. On Linux, a process with one thread forks the workers, from 2 MiB
+(POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them before its
+webhook thread starts; everywhere else they are spawned, from 8 MiB, and
+a script that calls main must do so under `if __name__ == "__main__":`.
+score on a synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more,
+where a JSONL pool would fork, forks min(usable CPUs, spans) workers
+itself, each writing the assessment lines of every workers-th span of
+backends.SYNTH_SPAN_FRAMES frames to its own pipe. Everything else, watch
+on a synthetic: script included, is read and assessed in this process,
+one record at a time. So the output, warnings, counts and errors are the
+same either way.
 """
 
 from __future__ import annotations
@@ -244,6 +249,16 @@ CHUNK_BYTES = 256 * 1024
 #   21 MiB (7 of 8, 21% faster). Between 8 and 21 MiB a spawned watch pool costs memory
 #   and CPU time for no gain on 2 CPUs; more CPUs win sooner.
 POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
+# The fewest frames of a synthetic: script that score runs in forked
+# workers (_forked_synthetic); a shorter script does not win back their
+# start-up. On 2 CPUs, five-scene scripts at noise 0.02, 16 alternating
+# pairs of one-CPU and pool runs each: the pool won 2 pairs at 1,000
+# frames (51k against 73k fps in the median), 6 at 2,000, 5 and then 13
+# at 3,000, 10 in each of two sets at 4,000 (7-8% faster), 12 at 5,000
+# (42% faster), 16 at 6,000 and 14 at 8,000. Spawned workers would import
+# the package before their first frame, so synthetic input never takes a
+# spawned pool.
+SYNTH_POOL_MIN_FRAMES = 5000
 
 
 def _pool_start_method() -> str:
@@ -258,23 +273,30 @@ def _pool_start_method() -> str:
 
 def _pool_workers(backend: DetectorBackend, method: str) -> int:
     """How many worker processes score or watch backend's frames when they
-    start by method: for a JSONL replay of a regular file of
-    POOL_MIN_CHUNKS[method] chunks or more, min(CPUs, chunks) when this
-    process may use two CPUs or more; otherwise 0, and the command runs in
-    this process. Where the OS does not report which CPUs the process may
-    use, all of them count."""
-    if not isinstance(backend, backends.ReplayBackend) or backend.path == "-":
-        return 0
-    try:
-        info = os.stat(backend.path)
-    except OSError:
-        return 0  # the one-process path reports it
-    chunks = -(-info.st_size // CHUNK_BYTES)
-    if not stat.S_ISREG(info.st_mode) or chunks < POOL_MIN_CHUNKS[method]:
+    start by method, when this process may use two CPUs or more: for a
+    JSONL replay of a regular file of POOL_MIN_CHUNKS[method] chunks or
+    more, min(CPUs, chunks); for a synthetic script of SYNTH_POOL_MIN_FRAMES
+    frames or more, when method is "fork", min(CPUs, spans of
+    SYNTH_SPAN_FRAMES). Otherwise 0, and the command runs in this process.
+    Where the OS does not report which CPUs the process may use, all of
+    them count."""
+    if isinstance(backend, backends.SyntheticBackend):
+        if method != "fork" or backend.script.frame_count < SYNTH_POOL_MIN_FRAMES:
+            return 0
+        units = -(-backend.script.frame_count // backends.SYNTH_SPAN_FRAMES)
+    elif isinstance(backend, backends.ReplayBackend) and backend.path != "-":
+        try:
+            info = os.stat(backend.path)
+        except OSError:
+            return 0  # the one-process path reports it
+        units = -(-info.st_size // CHUNK_BYTES)
+        if not stat.S_ISREG(info.st_mode) or units < POOL_MIN_CHUNKS[method]:
+            return 0
+    else:
         return 0
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(cpus, chunks) if cpus >= 2 else 0
+    return min(cpus, units) if cpus >= 2 else 0
 
 
 def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple], workers: int,
@@ -325,23 +347,89 @@ def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple]
         pool.shutdown(cancel_futures=True)
 
 
+def _forked_synthetic(script: backends.ScenarioScript, cfg: FusionConfig, workers: int,
+                      command: str) -> Iterator[tuple[str, int]]:
+    """score's runs of script's frames assessed by cfg, (text, count) per
+    span of SYNTH_SPAN_FRAMES frames in input order, made by workers
+    processes forked here. Worker k writes the assessment lines of spans
+    k, k + workers, ... (synthesize's part k) to its own pipe and leaves
+    through os._exit, so it runs none of this process's exit handlers and
+    flushes none of its buffers. The parent knows each span's frame count,
+    so it takes span j's lines from pipe j % workers with no framing; a
+    pipe that ends early means its worker died, which ends the run with
+    one error that names the command. When the generator ends or is
+    closed, the pipes are closed, which ends a worker still running at its
+    next write, and every worker is reaped."""
+    span = backends.SYNTH_SPAN_FRAMES
+    total = script.frame_count
+    pids: list[int] = []
+    pipes: list = []
+    try:
+        for part in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    # No worker holds a read end, so closing the parent's
+                    # ends every worker at its next write.
+                    os.close(read_fd)
+                    for pipe in pipes:
+                        pipe.close()
+                    records = synthesize(script, part=part, parts=workers)
+                    lines = (serialize_assessment(assess_frame(record, cfg)) + "\n"
+                             for record in records)
+                    with open(write_fd, "wb") as out:
+                        while text := "".join(itertools.islice(lines, span)):
+                            out.write(text.encode())
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        for first in range(0, total, span):
+            count = min(span, total - first)
+            pipe = pipes[first // span % workers]
+            lines = list(itertools.islice(pipe, count))
+            if len(lines) < count:
+                raise ThreatwatchError(
+                    f"a {command} worker process died: its output ended after frame "
+                    f"{first + len(lines)} of {total}")
+            yield b"".join(lines).decode(), count
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 @contextlib.contextmanager
 def _assessed(backend: DetectorBackend, cfg: FusionConfig,
               command: str) -> Iterator[Iterator[tuple]]:
     """backend's frames assessed by cfg, in input order, for watch as
     (stream_id, frame_id, ts_ms, level, score) per frame, for score as
     runs of (text, count), the assessment lines of count frames. A large
-    JSONL file is assessed in worker processes (_worker_chunks), anything
-    else here, one record at a time. Read ahead to the first frame, so a
+    JSONL file is assessed in worker processes (_worker_chunks), and so is
+    a long synthetic script for score (_forked_synthetic); anything else
+    here, one record at a time. Read ahead to the first frame, so a
     missing or bad input fails before the caller creates any output file;
     a replay's bad lines before it go through backend.bad_line on the way,
     from either path. The source is closed on exit, which also closes the
     input file when the output cannot open, and ends the workers."""
     watch = command == "watch"
     method = _pool_start_method()
-    workers = _pool_workers(backend, method)
-    source = (_worker_chunks(backend, functools.partial(assess_span, cfg, watch), workers,
-                             method, command) if workers else backend.frames())
+    synthetic = isinstance(backend, backends.SyntheticBackend)
+    # watch's frames are tuples, which the synthetic workers do not make.
+    workers = 0 if watch and synthetic else _pool_workers(backend, method)
+    if workers and synthetic:
+        source = _forked_synthetic(backend.script, cfg, workers, command)
+    elif workers:
+        source = _worker_chunks(backend, functools.partial(assess_span, cfg, watch), workers,
+                                method, command)
+    else:
+        source = backend.frames()
     try:
         if workers and watch:
             assessed = itertools.chain.from_iterable(

@@ -38,7 +38,9 @@ from .alerts import AlertEvent, serialize_alert_event
 logger = logging.getLogger(__name__)
 
 _STOP = object()
-# Seconds each POST attempt may take.
+# Seconds each socket operation of a POST may take: the connect, each
+# send and each read of the reply. A whole attempt is not bounded; a
+# server that trickles its reply can hold it for longer.
 TIMEOUT_S = 2.0
 # Events the queue holds; send() drops any beyond.
 MAX_QUEUE = 1000

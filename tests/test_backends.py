@@ -3,9 +3,12 @@
 import hashlib
 import json
 import logging
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from threatwatch import backends
 from threatwatch.backends import (
     AdapterUnavailable,
     BadScript,
@@ -74,6 +77,26 @@ def test_deterministic_output_bytes():
     # an explicit seed overrides the script's own
     override = "\n".join(serialize_frame_record(r) for r in synthesize(s, seed=99))
     assert override != first
+
+
+_segments = st.lists(st.builds(Segment, st.sampled_from(Scene), st.integers(1, 40),
+                               st.sampled_from([0.0, 0.05, 0.1])), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=_segments, script_seed=st.integers(0, 2**32), seed=st.none() | st.integers(0, 99),
+       parts=st.integers(1, 4), span=st.integers(1, 50))
+def test_parts_taken_span_by_span_are_the_whole_run(segments, script_seed, seed, parts, span):
+    s = script(*segments, seed=script_seed)
+    with mock.patch.object(backends, "SYNTH_SPAN_FRAMES", span):
+        whole = list(synthesize(s, seed))
+        pieces = [synthesize(s, seed, part=k, parts=parts) for k in range(parts)]
+        interleaved = []
+        for first in range(0, len(whole), span):
+            part = pieces[first // span % parts]
+            interleaved += [next(part) for _ in range(min(span, len(whole) - first))]
+        assert all(next(part, None) is None for part in pieces)
+    assert interleaved == whole
 
 
 def test_noise_jitters_confidence_within_bounds():

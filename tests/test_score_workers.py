@@ -1,10 +1,12 @@
 """score and watch on worker processes: the same bytes, warnings, counts
 and exit codes as in one process, bounded workers and chunks in flight,
 a bounded failure when a worker dies, and no fork while watch's webhook
-thread runs.
+thread runs; and score on a synthetic: script in forked workers, with
+the same bytes as one process and no worker left behind.
 
 Each test forces the path it wants: a small CHUNK_BYTES and
-POOL_MIN_CHUNKS and two usable CPUs select the worker pool, one usable
+POOL_MIN_CHUNKS (SYNTH_SPAN_FRAMES and SYNTH_POOL_MIN_FRAMES for a
+synthetic: script) and two usable CPUs select the worker pool, one usable
 CPU the one-process loop. The usable CPUs are set through
 os.sched_getaffinity, which is added where the platform lacks it
 (macOS). The pool runs under each start method the chooser can pick
@@ -13,8 +15,10 @@ two threads pick spawn.
 """
 
 import concurrent.futures
+import gc
 import http.server
 import importlib.util
+import io
 import itertools
 import json
 import logging
@@ -29,8 +33,8 @@ import threading
 
 import pytest
 
-from threatwatch import cli
-from threatwatch.backends import open_backend
+from threatwatch import backends, cli
+from threatwatch.backends import Scene, open_backend
 from threatwatch.cli import main
 from threatwatch.frames import chunk_spans
 from threatwatch.fusion import FusionConfig, ThreatLevel
@@ -334,6 +338,15 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
         assert cli._pool_workers(open_backend(uri), "fork") == 0
     monkeypatch.setattr(cli, "CHUNK_BYTES", frames.stat().st_size)  # one chunk
     assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == 0
+    # A synthetic script of 12 frames, three spans of 4, takes forked
+    # workers from SYNTH_POOL_MIN_FRAMES frames, one a span on 8 CPUs, and
+    # never spawned ones.
+    script.write_text(json.dumps({"segments": [{"scene": "empty", "duration_frames": 11},
+                                               {"scene": "hand_only", "duration_frames": 1}]}))
+    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 4)
+    for min_frames, method, workers in ((13, "fork", 0), (12, "fork", 3), (12, "spawn", 0)):
+        monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", min_frames)
+        assert cli._pool_workers(open_backend(f"synthetic:{script}"), method) == workers
 
 
 def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatch):
@@ -743,3 +756,197 @@ def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, rece
     assert lines[-3:-1] == ["webhook: delivered=17 failed=0 dropped=0", "0"]
     # the real thread count, not the one forced to pick fork
     assert lines[-1] == "threads at each fork: [1, 1]"
+
+
+def _forks(monkeypatch):
+    """The pids of the processes os.fork makes from now on. Only those can
+    be checked for reaping: a spawned pool's resource tracker, started by
+    an earlier test, stays a child of this process."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pids):
+    """Each of pids has been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
+    """A script of the five scenes with the given durations and noises
+    (cycled). The defaults start segments on the edges of 8-frame spans
+    (frames 9 and 25) and inside spans (frames 14 and 28), over 47 frames."""
+    return {"segments": [{"scene": scene.value, "duration_frames": frames, "noise": noise}
+                         for scene, frames, noise in zip(Scene, durations,
+                                                         itertools.cycle(noises))],
+            "seed": seed}
+
+
+def _score_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, cpus, span=8, min_frames=2,
+                     method="fork", stdin=None, out=None):
+    """score uri with cpus usable CPUs, spans of span frames, the synthetic
+    pool from min_frames frames (None: the shipped threshold), the pool
+    started by method (None: as the chooser finds) and stdin's bytes, if
+    given. Returns _run's observables, the output bytes (None for an out
+    given) and the number of forks; no worker is left."""
+    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", span)
+    if min_frames is not None:
+        monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", min_frames)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    forks = _forks(monkeypatch)
+    path = out or tmp_path / f"out-{cpus}.jsonl"
+    seen = _run(["score", "--input", uri, "--out", str(path)], monkeypatch, caplog, capsys, cpus,
+                method=method)
+    gc.collect()  # an unclosed pipe warns here
+    _reaped(forks)
+    return seen, None if out else path.read_bytes(), len(forks)
+
+
+def _score_synthetic_both_ways(tmp_path, uri, monkeypatch, caplog, capsys, cpus=2, **kwargs):
+    """_score_synthetic on one CPU, then on cpus CPUs."""
+    return [_score_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, n, **kwargs)
+            for n in (1, cpus)]
+
+
+fork_only = pytest.mark.skipif("fork" not in START_METHODS, reason="only Linux forks workers")
+
+
+@fork_only
+@pytest.mark.parametrize("noises", [(0.0,), (0.1,), (0.0, 0.1, 0.05)],
+                         ids=["noise_0", "noise_0.1", "mixed"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_synthetic_spans_match_one_process(tmp_path, monkeypatch, caplog, capsys, noises, cpus):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script(noises)))
+    serial, pooled = _score_synthetic_both_ways(tmp_path, f"synthetic:{script}", monkeypatch,
+                                                caplog, capsys, cpus)
+    assert (serial[2], pooled[2]) == (0, cpus)
+    assert pooled[:2] == serial[:2]
+    (code, summary, warnings, errors), out, _ = serial
+    assert (code, summary, warnings, errors) == (0, ("47", "0"), [], [])
+    assert [json.loads(line)["frame_id"] for line in out.splitlines()] == list(range(1, 48))
+
+
+@fork_only
+def test_synthetic_stdin_script_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
+    data = json.dumps(_script((0.1, 0.0), seed=9)).encode()
+    serial, pooled = _score_synthetic_both_ways(tmp_path, "synthetic:-", monkeypatch, caplog,
+                                                capsys, stdin=data)
+    assert (serial[2], pooled[2]) == (0, 2)
+    assert pooled[:2] == serial[:2] and serial[0][:2] == (0, ("47", "0"))
+
+
+@fork_only
+def test_seed0_synth_score_input_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
+    # the shipped span size and threshold
+    workload = _load_workloads().generate("synth-score", 0, tmp_path / "in")
+    serial, pooled = _score_synthetic_both_ways(tmp_path, workload.input_uri, monkeypatch, caplog,
+                                                capsys, span=backends.SYNTH_SPAN_FRAMES,
+                                                min_frames=None)
+    assert (serial[2], pooled[2]) == (0, 2)
+    assert pooled[:2] == serial[:2]
+    assert serial[0][1] == (str(len(workload.truth.frames)), "0")
+
+
+@fork_only
+def test_a_script_one_frame_short_of_the_threshold_stays_in_one_process(tmp_path, monkeypatch,
+                                                                        caplog, capsys):
+    script = tmp_path / "script.json"
+    for frames, forks in ((cli.SYNTH_POOL_MIN_FRAMES - 1, 0), (cli.SYNTH_POOL_MIN_FRAMES, 2)):
+        script.write_text(json.dumps(_script((0.1,), (frames - 1, 1))))
+        serial, pooled = _score_synthetic_both_ways(tmp_path, f"synthetic:{script}", monkeypatch,
+                                                    caplog, capsys, span=backends.SYNTH_SPAN_FRAMES,
+                                                    min_frames=None)
+        assert (serial[2], pooled[2]) == (0, forks)
+        assert pooled[:2] == serial[:2] and serial[0][1] == (str(frames), "0")
+
+
+def test_a_live_thread_keeps_a_synthetic_script_in_one_process(tmp_path, monkeypatch, caplog,
+                                                               capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,))))
+    get_context, started = multiprocessing.get_context, []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: started.append(method) or get_context(method))
+    serial = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 1,
+                              method=None)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert cli._pool_start_method() == "spawn"
+        pooled = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 2,
+                                  method=None)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert (serial[2], pooled[2], started) == (0, 0, [])
+    assert pooled[:2] == serial[:2]
+
+
+@fork_only
+def test_watch_on_a_synthetic_script_stays_in_one_process(tmp_path, monkeypatch, caplog, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,), (30, 30, 30, 30, 30))))
+    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 8)
+    monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", 2)
+    forks = _forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        alerts = tmp_path / f"alerts-{cpus}.jsonl"
+        code, warnings, err = _main(["watch", "--input", f"synthetic:{script}", "--alerts",
+                                     str(alerts)], monkeypatch, caplog, capsys, cpus, method="fork")
+        runs.append((code, warnings, _untimed(err), alerts.read_bytes()))
+    assert forks == []
+    assert runs[0] == runs[1]
+    code, warnings, err, alerts = runs[0]
+    assert code == 0 and b'"kind":"raised"' in alerts
+    assert err == ["summary: frames=150 skipped=0 dropped=0 alerts_raised=1 events=3"]
+
+
+@fork_only
+def test_synthetic_worker_death_exits_1_and_reaps_every_worker(tmp_path, monkeypatch, caplog,
+                                                               capsys):
+    # Worker 0 of 2 dies in its second span (frames 17-24), after writing
+    # its first.
+    parent, assess = os.getpid(), cli.assess_frame
+
+    def dying(record, cfg):
+        if record.frame_id == 20 and os.getpid() != parent:
+            os._exit(1)
+        return assess(record, cfg)
+
+    monkeypatch.setattr(cli, "assess_frame", dying)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,))))
+    (code, summary, warnings, errors), out, forks = _score_synthetic(
+        tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 2)
+    assert (code, summary, warnings, forks) == (1, None, [], 2)
+    assert errors == ["error: a score worker process died: its output ended after frame 16 "
+                      "of 47"]
+    assert [json.loads(line)["frame_id"] for line in out.splitlines()] == list(range(1, 17))
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_synthetic_out_to_a_full_device_exits_2_and_reaps_every_worker(tmp_path, monkeypatch,
+                                                                       caplog, capsys):
+    # The first write to /dev/full fails a few spans in, while the workers
+    # still have most of the 3,000 frames to make.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,), (600,) * 5)))
+    (code, summary, warnings, errors), _, forks = _score_synthetic(
+        tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 2, out="/dev/full")
+    assert (code, summary, warnings, forks) == (2, None, [], 2)
+    assert len(errors) == 1 and errors[0].startswith("i/o error: ")
