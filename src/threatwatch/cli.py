@@ -65,13 +65,6 @@ from .backends import (
     synthesize,
 )
 from .errors import ThreatwatchError
-from .evaluation import (
-    confusion_matrix,
-    make_splits,
-    parse_prediction,
-    per_class_accuracy,
-    render_report,
-)
 from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
 from .fusion import FusionConfig, assess_frame, assess_span, serialize_assessment, watch_run_frames
@@ -220,6 +213,10 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    # evaluation is imported by the two commands that use it only, so that
+    # score and watch do not load it.
+    from .evaluation import make_splits
+
     assignment = make_splits(read_manifest(args.manifest), args.seed, args.ratios)
     with _out_stream(args.out) as out:
         for sample_id in sorted(assignment.assignment):
@@ -520,6 +517,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import confusion_matrix, parse_prediction, per_class_accuracy, render_report
+
     if args.pred == "-" and args.labels == "-":
         raise ThreatwatchError("predictions and labels cannot both come from stdin")
     labels = read_manifest(args.labels)

@@ -33,11 +33,15 @@ a line of more than JSON whitespace that is not UTF-8 or not JSON is
 MalformedJson.
 
 All types here are immutable value objects, and a value that exists is a
-valid one. The public constructors validate every invariant. The parser
-checks each JSON value's type and range once, then builds the records
-through trusted constructors that skip the second check. Each invariant is
-written once, as a function returning the reason a value breaks it, which
-both paths call. Parsing is stateless and reentrant.
+valid one. The public constructors validate every invariant. The parser,
+_frame_fields, checks each JSON value's type and range once and returns
+the frame as plain fields, tuples of str, int, float and Label; from
+those, parse_frame_record builds the records through trusted constructors
+that skip the second check, while the worker processes of score and watch
+hand the fields to fusion as they are and build no record. Each invariant
+is written once, as a function returning the reason a value breaks it,
+which the constructors and the parser call. Parsing is stateless and
+reentrant.
 """
 
 from __future__ import annotations
@@ -142,15 +146,16 @@ def _box_error(x: float, y: float, w: float, h: float) -> str | None:
     return None
 
 
-def _detection_error(conf: float, mask_area: float | None, box: BoundingBox) -> str | None:
-    """Why conf and mask_area are no valid InstanceDetection on box, or None."""
+def _detection_error(conf: float, mask_area: float | None, w: float, h: float) -> str | None:
+    """Why conf and mask_area are no valid InstanceDetection on a box of
+    size w by h, or None."""
     if not (0.0 <= conf <= 1.0):
         return f"conf must be within [0, 1], got {conf}"
     if mask_area is not None:
         if not (0.0 < mask_area <= 1.0):
             return f"mask_area must be within (0, 1], got {mask_area}"
-        if mask_area > box.w * box.h + 1e-6:
-            return f"mask_area {mask_area} exceeds box area {box.w * box.h}"
+        if mask_area > w * h + 1e-6:
+            return f"mask_area {mask_area} exceeds box area {w * h}"
     return None
 
 
@@ -235,7 +240,7 @@ class InstanceDetection:
     mask_area: float | None = None
 
     def __post_init__(self) -> None:
-        error = _detection_error(self.conf, self.mask_area, self.box)
+        error = _detection_error(self.conf, self.mask_area, self.box.w, self.box.h)
         if error is not None:
             raise ValueError(error)
 
@@ -278,11 +283,22 @@ class PoseKeypoint:
             raise ValueError(error)
 
     def kind(self) -> KeypointKind:
-        lowered = self.name.lower()
-        for kind in (KeypointKind.WRIST, KeypointKind.ELBOW, KeypointKind.SHOULDER):
-            if kind.value in lowered:
-                return kind
-        return KeypointKind.OTHER
+        return _keypoint_kind(self.name)
+
+
+# The canonical kinds by name, in the order kind() tries them; read once,
+# as an Enum member's value is a property.
+_KEYPOINT_KINDS = tuple((kind.value, kind)
+                        for kind in (KeypointKind.WRIST, KeypointKind.ELBOW, KeypointKind.SHOULDER))
+
+
+def _keypoint_kind(name: str) -> KeypointKind:
+    """PoseKeypoint.kind() of a keypoint named name."""
+    lowered = name.lower()
+    for value, kind in _KEYPOINT_KINDS:
+        if value in lowered:
+            return kind
+    return KeypointKind.OTHER
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,7 +515,8 @@ def _array(raw: object, parse: Callable[[object], _T], path: str) -> tuple[_T, .
     return tuple(parts)
 
 
-def _detection(obj: object) -> InstanceDetection:
+def _detection(obj: object) -> tuple:
+    """A wire detection as (label, x, y, w, h, conf, mask_area)."""
     if type(obj) is not dict:
         raise _expected("", "an object", obj)
     get = obj.get
@@ -527,14 +544,14 @@ def _detection(obj: object) -> InstanceDetection:
     error = _box_error(x, y, w, h)
     if error is not None:
         raise _Invalid(".box", error)
-    box = _new_box(x, y, w, h)
-    error = _detection_error(conf, mask_area, box)
+    error = _detection_error(conf, mask_area, w, h)
     if error is not None:
         raise _Invalid("", error)
-    return _new_detection(label, box, conf, mask_area)
+    return label, x, y, w, h, conf, mask_area
 
 
-def _keypoint(obj: object) -> PoseKeypoint:
+def _keypoint(obj: object) -> tuple:
+    """A wire keypoint as (name, x, y, conf)."""
     if type(obj) is not dict:
         raise _expected("", "an object", obj)
     get = obj.get
@@ -553,10 +570,11 @@ def _keypoint(obj: object) -> PoseKeypoint:
     error = _keypoint_error(name, x, y, conf)
     if error is not None:
         raise _Invalid("", error)
-    return _new_keypoint(name, x, y, conf)
+    return name, x, y, conf
 
 
-def _scores(obj: object) -> ClassScores:
+def _scores(obj: object) -> tuple[float, float, float]:
+    """Wire scores as (threat, no_threat, hand)."""
     if type(obj) is not dict:
         raise _expected("$.scores", "an object", obj)
     get = obj.get
@@ -572,10 +590,16 @@ def _scores(obj: object) -> ClassScores:
     error = _scores_error(threat, no_threat, hand)
     if error is not None:
         raise _Invalid("$.scores", error)
-    return _new_scores(threat, no_threat, hand)
+    return threat, no_threat, hand
 
 
-def _frame_record(obj: dict) -> FrameRecord:
+def _frame_fields(obj: dict) -> tuple:
+    """A wire frame's validated fields, (stream_id, frame_id, ts_ms,
+    scores, detections, keypoints): scores as (threat, no_threat, hand) or
+    None, one (label, x, y, w, h, conf, mask_area) per detection and one
+    (name, x, y, conf) per keypoint, each a tuple. They satisfy every
+    invariant of FrameRecord and its parts, so _frame_record builds those
+    with no second check, and fusion assesses the fields as they are."""
     get = obj.get
     stream_id = get("stream_id")
     if type(stream_id) is not str:
@@ -596,7 +620,16 @@ def _frame_record(obj: dict) -> FrameRecord:
     error = _record_error(stream_id, frame_id, ts_ms, detections, keypoints)
     if error is not None:
         raise _Invalid("$", error)
-    return _new_record(stream_id, frame_id, ts_ms, scores, detections, keypoints)
+    return stream_id, frame_id, ts_ms, scores, detections, keypoints
+
+
+def _frame_record(obj: dict) -> FrameRecord:
+    stream_id, frame_id, ts_ms, scores, detections, keypoints = _frame_fields(obj)
+    return _new_record(
+        stream_id, frame_id, ts_ms, None if scores is None else _new_scores(*scores),
+        tuple([_new_detection(label, _new_box(x, y, w, h), conf, mask_area)
+               for label, x, y, w, h, conf, mask_area in detections]),
+        tuple([_new_keypoint(*keypoint) for keypoint in keypoints]))
 
 
 def parse_frame_record(line: str, line_no: int = 0) -> FrameRecord:

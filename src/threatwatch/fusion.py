@@ -13,16 +13,24 @@ ThreatAssessment:
     tells a wrist near a knife from a bare fist.
 
 Detection evidence outranks classifier evidence: detections carry
-localization, the classifier does not. Everything here is pure and
-stateless; frames can be assessed in parallel in any order. assess_span
-does so for the worker processes of `score` and `watch`: it assesses one
-span of a JSONL file into runs of frames cut at its bad lines, which it
-hands back for the caller to skip or raise, and imports nothing beyond
-this module, frames and errors.
+localization, the classifier does not. One body, _fuse, holds the level,
+score and evidence rules. It reads the qualifying hands and knives as
+(index, conf, cx, cy) and the keypoints as (name, x, y, conf), so it
+takes a FrameRecord (assess_frame) and a JSONL line's validated fields
+(frames._frame_fields) alike.
+
+Everything here is pure and stateless; frames can be assessed in parallel
+in any order. assess_span does so for the worker processes of `score` and
+`watch`: it assesses one span of a JSONL file, line by line from each
+line's fields with no FrameRecord or ThreatAssessment built (_assess_line),
+into runs of frames cut at its bad lines, which it hands back for the
+caller to skip or raise, and imports nothing beyond this module, frames
+and errors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
@@ -31,7 +39,8 @@ from typing import Iterator
 
 from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
-                     PoseKeypoint, parse_frame_record, parse_lines, read_span)
+                     PoseKeypoint, _frame_fields, _keypoint_kind, _parse_line, parse_lines,
+                     read_span)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -144,16 +153,21 @@ def classify_scores(scores: ClassScores, cfg: FusionConfig) -> FrameClass:
     lower-threat class (no-threat-no-hand, then no-threat-hand, then threat);
     anything else inside the margin is INDETERMINATE.
     """
-    ranked = sorted(
-        (
-            (scores.no_threat, 0, FrameClass.NO_THREAT_NO_HAND),
-            (scores.hand, 1, FrameClass.NO_THREAT_HAND),
-            (scores.threat, 2, FrameClass.THREAT),
-        ),
-        key=lambda t: (-t[0], t[1]),
-    )
-    top_value, _, top_class = ranked[0]
-    second_value = ranked[1][0]
+    return _classify(scores.threat, scores.no_threat, scores.hand, cfg)
+
+
+def _classify(threat: float, no_threat: float, hand: float, cfg: FusionConfig) -> FrameClass:
+    """classify_scores on the three scores."""
+    # The top two scores, a class taking the lead only when strictly
+    # greater: so an exact tie goes to the class tried first.
+    if hand > no_threat:
+        top_value, top_class, second_value = hand, FrameClass.NO_THREAT_HAND, no_threat
+    else:
+        top_value, top_class, second_value = no_threat, FrameClass.NO_THREAT_NO_HAND, hand
+    if threat > top_value:
+        top_value, top_class, second_value = threat, FrameClass.THREAT, top_value
+    elif threat > second_value:
+        second_value = threat
     if second_value == top_value:
         return top_class
     if top_value - second_value < cfg.margin - GEOM_TOL:
@@ -173,10 +187,13 @@ def is_overhand(hand_box: BoundingBox, knife_box: BoundingBox, cfg: FusionConfig
     return _rises(hand_box.center()[1], knife_box.center()[1], cfg)
 
 
-# (index, detection, box center) of a detection with conf >= tau_det.
-_Qualified = tuple[int, InstanceDetection, tuple[float, float]]
-# (distance, hand_idx, knife_idx, hand, knife, overhand)
-_Edge = tuple[float, int, int, InstanceDetection, InstanceDetection, bool]
+# (index, conf, cx, cy) of a detection with conf >= tau_det: its position
+# in the frame's detection list and its box center.
+_Qualified = tuple[int, float, float, float]
+# (distance, hand_idx, knife_idx, hand conf, knife conf, overhand)
+_Edge = tuple[float, int, int, float, float, bool]
+# (name, x, y, conf) of a keypoint.
+_Keypoint = tuple[str, float, float, float]
 
 
 def _qualifying(detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
@@ -186,22 +203,28 @@ def _qualifying(detections: tuple[InstanceDetection, ...] | list[InstanceDetecti
     knives: list[_Qualified] = []
     for i, det in enumerate(detections):
         if det.conf >= cfg.tau_det:
-            (hands if det.label is Label.HAND else knives).append((i, det, det.box.center()))
+            (hands if det.label is Label.HAND else knives).append((i, det.conf, *det.box.center()))
     return hands, knives
 
 
+def _keypoint_fields(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint]) -> list[_Keypoint]:
+    """The keypoints as (name, x, y, conf), the form _fuse reads."""
+    return [(kp.name, kp.x, kp.y, kp.conf) for kp in keypoints]
+
+
 def _candidate_edges(hands: list[_Qualified], knives: list[_Qualified], cfg: FusionConfig) -> list[_Edge]:
-    """All (distance, hand_idx, knife_idx, hand, knife, overhand) pairs of
-    qualifying detections whose centers lie within cfg.delta_assoc of each
-    other, in ascending (distance, hand_idx, knife_idx) order."""
+    """All (distance, hand_idx, knife_idx, hand conf, knife conf, overhand)
+    pairs of qualifying detections whose centers lie within
+    cfg.delta_assoc of each other, in ascending (distance, hand_idx,
+    knife_idx) order."""
     limit = cfg.delta_assoc + GEOM_TOL
     edges = []
-    for hi, hand, (hcx, hcy) in hands:
-        for ki, knife, (kcx, kcy) in knives:
+    for hi, hconf, hcx, hcy in hands:
+        for ki, kconf, kcx, kcy in knives:
             dist = math.hypot(kcx - hcx, kcy - hcy)
             if dist <= limit:
-                edges.append((dist, hi, ki, hand, knife, _rises(hcy, kcy, cfg)))
-    # (hand_idx, knife_idx) is unique, so the sort never compares detections.
+                edges.append((dist, hi, ki, hconf, kconf, _rises(hcy, kcy, cfg)))
+    # (hand_idx, knife_idx) is unique, so the sort never compares further.
     edges.sort()
     return edges
 
@@ -230,8 +253,8 @@ def associate_hand_knife(
     knife index, in input order) with each detection used at most once.
     """
     edges = _candidate_edges(*_qualifying(detections, cfg), cfg)
-    return [GraspPair(hand, knife, hi, ki, dist, overhand)
-            for dist, hi, ki, hand, knife, overhand in _match(edges)]
+    return [GraspPair(detections[hi], detections[ki], hi, ki, dist, overhand)
+            for dist, hi, ki, _, _, overhand in _match(edges)]
 
 
 def pose_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint],
@@ -244,19 +267,21 @@ def pose_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint],
     knife box center; WRIST_NO_KNIFE otherwise (a bare fist, the benign
     case a knife detector alone would confuse).
     """
-    return _wrist_gate(keypoints, _qualifying(detections, cfg)[1], cfg)
+    return _wrist_gate(_keypoint_fields(keypoints), _qualifying(detections, cfg)[1], cfg)
 
 
-def _wrist_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint], knives: list[_Qualified],
+def _wrist_gate(keypoints: tuple[_Keypoint, ...] | list[_Keypoint], knives: list[_Qualified],
                 cfg: FusionConfig) -> PoseEvidence:
-    """pose_gate over the qualifying knives."""
-    wrists = [kp for kp in keypoints if kp.conf >= cfg.tau_pose and kp.kind() is KeypointKind.WRIST]
+    """pose_gate over the keypoints' fields and the qualifying knives."""
+    tau = cfg.tau_pose
+    wrists = [(x, y) for name, x, y, conf in keypoints
+              if conf >= tau and _keypoint_kind(name) is KeypointKind.WRIST]
     if not wrists:
         return PoseEvidence.NO_WRIST
     limit = cfg.delta_wrist + GEOM_TOL
-    for _, _, (kcx, kcy) in knives:
-        for kp in wrists:
-            if math.hypot(kp.x - kcx, kp.y - kcy) <= limit:
+    for _, _, kcx, kcy in knives:
+        for x, y in wrists:
+            if math.hypot(x - kcx, y - kcy) <= limit:
                 return PoseEvidence.WRIST_NEAR_KNIFE
     return PoseEvidence.WRIST_NO_KNIFE
 
@@ -286,7 +311,24 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
     the best overhand candidate for OVERHAND_THREAT.
     """
     hands, knives = _qualifying(record.detections, cfg)
-    edges = _candidate_edges(hands, knives, cfg)
+    scores = record.scores
+    level, score, evidence = _fuse(
+        hands, knives, None if scores is None else (scores.threat, scores.no_threat, scores.hand),
+        _keypoint_fields(record.keypoints) if record.keypoints else (), cfg)
+    return ThreatAssessment(record.stream_id, record.frame_id, level, score, evidence)
+
+
+_POSE_TAGS = {gate: f"pose:{gate.value}" for gate in PoseEvidence}
+
+
+def _fuse(hands: list[_Qualified], knives: list[_Qualified],
+          scores: tuple[float, float, float] | None, keypoints: tuple[_Keypoint, ...] | list[_Keypoint],
+          cfg: FusionConfig) -> tuple[ThreatLevel, float, tuple[str, ...]]:
+    """assess_frame's (level, score, evidence) of a frame with the given
+    qualifying hands and knives, scores (threat, no_threat, hand) or None,
+    and keypoints: the one fusion body, which both a FrameRecord
+    (assess_frame) and a line's fields (_assess_line) go through."""
+    edges = _candidate_edges(hands, knives, cfg) if hands and knives else ()
     if edges:
         # Every edge set yields at least one pair: GRASPED or above.
         pairs = _match(edges)
@@ -294,12 +336,12 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
         # Best overhand candidate across all edges, matched or not: strongest
         # min conf, then lowest hand index, then lowest knife index.
         best_overhand = min(
-            ((-min(hand.conf, knife.conf), hi, ki) for _, hi, ki, hand, knife, overhand in edges if overhand),
+            ((-min(hconf, kconf), hi, ki) for _, hi, ki, hconf, kconf, overhand in edges if overhand),
             default=None,
         )
         if best_overhand is None:
             level = ThreatLevel.GRASPED
-            strength = max(min(hand.conf, knife.conf) for _, _, _, hand, knife, _ in pairs)
+            strength = max(min(hconf, kconf) for _, _, _, hconf, kconf, _ in pairs)
         else:
             level = ThreatLevel.OVERHAND_THREAT
             neg_strength, hi, ki = best_overhand
@@ -309,17 +351,16 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
                 evidence.append(winning_tag)
     elif knives:
         # max keeps the first of equally confident knives.
-        ki, knife, _ = max(knives, key=lambda q: q[1].conf)
-        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, knife.conf, [f"knife:k{ki}"]
-    elif record.scores is not None and classify_scores(record.scores, cfg) is FrameClass.THREAT:
-        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, record.scores.threat, ["classifier:threat"]
+        ki, strength, _, _ = max(knives, key=lambda q: q[1])
+        level, evidence = ThreatLevel.OBJECT_PRESENT, [f"knife:k{ki}"]
+    elif scores is not None and _classify(*scores, cfg) is FrameClass.THREAT:
+        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, scores[0], ["classifier:threat"]
     else:
-        return ThreatAssessment(record.stream_id, record.frame_id, ThreatLevel.NONE, 0.0, ())
+        return ThreatLevel.NONE, 0.0, ()
 
-    if record.keypoints:
-        evidence.append(f"pose:{_wrist_gate(record.keypoints, knives, cfg).value}")
-    score = SCORE_BANDS[level][0] + 0.10 * strength
-    return ThreatAssessment(record.stream_id, record.frame_id, level, score, tuple(evidence))
+    if keypoints:
+        evidence.append(_POSE_TAGS[_wrist_gate(keypoints, knives, cfg)])
+    return level, SCORE_BANDS[level][0] + 0.10 * strength, tuple(evidence)
 
 
 _LEVEL_JSON = {level: _json_str(level.wire) for level in ThreatLevel}
@@ -330,11 +371,39 @@ def serialize_assessment(assessment: ThreatAssessment) -> str:
     json.dumps gives for the record with separators (",", ":"): strings
     ASCII-escaped as json.dumps does by default, the score as float repr
     (always finite, since it lies inside its level's band)."""
+    return _assessment_line(assessment.stream_id, assessment.frame_id, assessment.level,
+                            assessment.score, assessment.evidence)
+
+
+def _assessment_line(stream_id: str, frame_id: int, level: ThreatLevel, score: float,
+                     evidence: tuple[str, ...]) -> str:
+    """serialize_assessment of the assessment with these fields."""
     return (
-        f'{{"stream_id":{_json_str(assessment.stream_id)},"frame_id":{assessment.frame_id},'
-        f'"level":{_LEVEL_JSON[assessment.level]},"score":{float.__repr__(assessment.score)},'
-        f'"evidence":[{",".join(map(_json_str, assessment.evidence))}]}}'
+        f'{{"stream_id":{_json_str(stream_id)},"frame_id":{frame_id},'
+        f'"level":{_LEVEL_JSON[level]},"score":{float.__repr__(score)},'
+        f'"evidence":[{",".join(map(_json_str, evidence))}]}}'
     )
+
+
+def _assess_line(line: str, line_no: int, cfg: FusionConfig, watch: bool) -> str | tuple:
+    """What a worker makes of one JSONL frame line numbered line_no, from
+    its validated fields (frames._frame_fields) with no record built: for
+    score, serialize_assessment(assess_frame(parse_frame_record(line,
+    line_no), cfg)); for watch, the frame (stream_id, frame_id, ts_ms,
+    level, score) of that assessment. Raises what parse_frame_record
+    raises."""
+    stream_id, frame_id, ts_ms, scores, detections, keypoints = _parse_line(line, line_no,
+                                                                            _frame_fields)
+    hands: list[_Qualified] = []
+    knives: list[_Qualified] = []
+    tau = cfg.tau_det
+    for i, (label, x, y, w, h, conf, _) in enumerate(detections):
+        if conf >= tau:  # as _qualifying, with the box center of BoundingBox.center
+            (hands if label is Label.HAND else knives).append((i, conf, x + w / 2.0, y + h / 2.0))
+    level, score, evidence = _fuse(hands, knives, scores, keypoints, cfg)
+    if watch:
+        return stream_id, frame_id, ts_ms, level, score
+    return _assessment_line(stream_id, frame_id, level, score, evidence)
 
 
 def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
@@ -342,7 +411,10 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
                 ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
     """Parse and assess the frame lines of one span of the file at path
     (frames.chunk_spans), numbered from first_line_no, as score (watch
-    False) or watch does in one process.
+    False) or watch does in one process, but from each line's validated
+    fields: _assess_line builds no FrameRecord and no ThreatAssessment,
+    and serializes the score line or makes the watch frame straight from
+    the fields.
 
     Returns (runs, bad): the span's frames cut at each bad line, len(bad)
     + 1 runs, each as (frames, count); and those lines' exceptions, in
@@ -363,11 +435,9 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
         frames = []
         runs.append(frames)
 
-    for record in parse_lines(read_span(path, offset, nbytes), first_line_no, parse_frame_record,
-                              cut):
-        assessment = assess_frame(record, cfg)
-        frames.append((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
-                       assessment.score) if watch else serialize_assessment(assessment))
+    assess = functools.partial(_assess_line, cfg=cfg, watch=watch)
+    for frame in parse_lines(read_span(path, offset, nbytes), first_line_no, assess, cut):
+        frames.append(frame)
     if not watch:
         return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs], bad
     # Imported here, so that one-process runs do not load it.

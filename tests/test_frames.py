@@ -34,6 +34,7 @@ from threatwatch.frames import (
     serialize_frame_record,
     validate_manifest,
 )
+from threatwatch.fusion import FusionConfig, _assess_line, assess_frame, serialize_assessment
 
 
 def test_minimal_record_parses():
@@ -570,6 +571,11 @@ def _public_record(obj):
     )
 
 
+# The default thresholds, and ones that let every detection pair and
+# every keypoint count, so that the fuzzed records reach each fusion rule.
+_FUZZ_CONFIGS = (FusionConfig(), FusionConfig(tau_det=0.0, delta_assoc=1.0, tau_pose=0.0, delta_wrist=1.0))
+
+
 @settings(max_examples=400, deadline=None)
 @given(record=_wire_record, data=st.data())
 def test_parse_fuzz_mutated_records(record, data):
@@ -585,9 +591,21 @@ def test_parse_fuzz_mutated_records(record, data):
     line = json.dumps(record)
     try:
         parsed = parse_frame_record(line)
-    except (MalformedJson, SchemaViolation):
+    except (MalformedJson, SchemaViolation) as exc:
+        # The workers' per-line path rejects the line alike.
+        for cfg, watch in itertools.product(_FUZZ_CONFIGS, (False, True)):
+            with pytest.raises(type(exc)) as raised:
+                _assess_line(line, 0, cfg, watch)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return
     assert parsed == _public_record(json.loads(line))
+    # The workers' per-line path, which builds no record, makes the score
+    # line and the watch frame of the parsed record's assessment.
+    for cfg in _FUZZ_CONFIGS:
+        assessment = assess_frame(parsed, cfg)
+        assert _assess_line(line, 0, cfg, False) == serialize_assessment(assessment)
+        assert _assess_line(line, 0, cfg, True) == (parsed.stream_id, parsed.frame_id, parsed.ts_ms,
+                                                    assessment.level, assessment.score)
     with pytest.raises(FrozenInstanceError):
         parsed.frame_id = 0
     for part in (parsed.scores, *parsed.detections, *(d.box for d in parsed.detections), *parsed.keypoints):

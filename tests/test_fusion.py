@@ -1,6 +1,7 @@
 """Fusion engine: classification, association, overhand rule, pose gate,
 and graded frame assessment."""
 
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from threatwatch.frames import (
     PoseKeypoint,
 )
 from threatwatch.fusion import (
+    GEOM_TOL,
     SCORE_BANDS,
     FrameClass,
     FusionConfig,
@@ -57,6 +59,36 @@ def test_classify_exact_tie_breaks_low():
     assert classify_scores(ClassScores(0.45, 0.10, 0.45), CFG) is FrameClass.NO_THREAT_HAND
     third = 1.0 / 3.0
     assert classify_scores(ClassScores(third, third, third), CFG) is FrameClass.NO_THREAT_NO_HAND
+
+
+def _classify_by_rank(scores, cfg):
+    """classify_scores's rule as a sort: scores descending, an exact tie
+    going to the lower-threat class."""
+    ranked = sorted(
+        ((scores.no_threat, 0, FrameClass.NO_THREAT_NO_HAND), (scores.hand, 1, FrameClass.NO_THREAT_HAND),
+         (scores.threat, 2, FrameClass.THREAT)),
+        key=lambda t: (-t[0], t[1]),
+    )
+    (top, _, top_class), (second, _, _) = ranked[:2]
+    if second == top:
+        return top_class
+    if top - second < cfg.margin - GEOM_TOL:
+        return FrameClass.INDETERMINATE
+    return top_class
+
+
+def test_classify_matches_rank_order_reference():
+    # Scores and margins on a grid of twentieths, so that exact ties at the
+    # top and in second place, and gaps of exactly the margin, all occur.
+    grid = [i / 20 for i in range(21)]
+    for a, b in itertools.product(grid, repeat=2):
+        if a + b > 1.0:
+            continue
+        for threat, no_threat, hand in set(itertools.permutations((a, b, max(0.0, 1.0 - a - b)))):
+            scores = ClassScores(threat, no_threat, hand)
+            for margin in (0.0, 0.05, 0.1, 0.25):
+                cfg = FusionConfig(margin=margin)
+                assert classify_scores(scores, cfg) is _classify_by_rank(scores, cfg), (scores, margin)
 
 
 def test_classify_margin_boundary():

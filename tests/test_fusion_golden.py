@@ -10,8 +10,10 @@ line is a change in output, not a refactor.
 
 import pytest
 
-from threatwatch.frames import BoundingBox, ClassScores, FrameRecord, InstanceDetection, Label, PoseKeypoint
-from threatwatch.fusion import FusionConfig, ThreatAssessment, ThreatLevel, assess_frame, serialize_assessment
+from threatwatch.frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, Label, PoseKeypoint,
+                                serialize_frame_record)
+from threatwatch.fusion import (FusionConfig, ThreatAssessment, ThreatLevel, _assess_line, assess_frame,
+                                serialize_assessment)
 
 CFG = FusionConfig()
 
@@ -76,12 +78,22 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("frame_id, case", list(enumerate(CASES, start=1)), ids=[c[0] for c in CASES])
-def test_golden_assessment_line(frame_id, case):
+# Each case as a record (assess_frame), and as a JSONL line (the per-line
+# path of the worker processes, which builds no record), id "<name>-jsonl".
+GOLDEN_INPUTS = [(frame_id, case, via) for via in ("record", "jsonl")
+                 for frame_id, case in enumerate(CASES, start=1)]
+
+
+@pytest.mark.parametrize("frame_id, case, via", GOLDEN_INPUTS,
+                         ids=[c[0] if via == "record" else f"{c[0]}-{via}" for _, c, via in GOLDEN_INPUTS])
+def test_golden_assessment_line(frame_id, case, via):
     _, detections, keypoints, scores, expected = case
     record = FrameRecord("golden", frame_id, 33 * frame_id, scores=scores,
                          detections=tuple(detections), keypoints=tuple(keypoints))
-    assert serialize_assessment(assess_frame(record, CFG)) == expected
+    if via == "record":
+        assert serialize_assessment(assess_frame(record, CFG)) == expected
+    else:
+        assert _assess_line(serialize_frame_record(record), frame_id, CFG, False) == expected
 
 
 # (name, stream_id, frame_id, level, score, evidence, expected line): string

@@ -72,10 +72,12 @@ def test_star_import_and_version():
 
 
 def test_importing_a_submodule_loads_no_http_client():
-    # nor the worker pool, which only a large input needs
+    # nor the worker pool, which only a large input needs, nor evaluation,
+    # which only split and eval use
     done = _python("import sys, threatwatch.frames, threatwatch.fusion, threatwatch.cli\n"
                    "print(sorted(m for m in ('threatwatch.webhook', 'urllib.request', 'ssl',"
-                   " 'http.client', 'multiprocessing', 'concurrent.futures.process')"
+                   " 'http.client', 'multiprocessing', 'concurrent.futures.process',"
+                   " 'threatwatch.evaluation')"
                    " if m in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
