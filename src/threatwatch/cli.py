@@ -16,31 +16,27 @@ with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
 score and watch each run one loop over one stream of assessed frames
-(_assessed), which comes from one of three places, and the worker
-processes of the first two are used only when two or more CPUs are
-usable. A large JSONL file is parsed and assessed in a pool of worker
-processes, min(usable CPUs, chunks) of them: the parent hands each worker
-a byte range of the file and takes back its frames in runs cut at the
-bad lines, which go through the backend's bad-line policy between the
-runs. On Linux, a process with one thread forks the workers, from 2 MiB
-(POOL_MIN_CHUNKS chunks of CHUNK_BYTES), and watch forks them before its
-webhook thread starts; everywhere else they are spawned, from 8 MiB, and
-a script that calls main must do so under `if __name__ == "__main__":`.
-score on a synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more,
-where a JSONL pool would fork, forks min(usable CPUs, spans) workers
-itself, each writing the assessment lines of every workers-th span of
-backends.SYNTH_SPAN_FRAMES frames to its own pipe. Everything else, watch
-on a synthetic: script included, is read and assessed in this process,
-one record at a time. So the output, warnings, counts and errors are the
-same either way.
+(_assessed), which comes from one of three places. Worker processes are
+used only where this process may fork (Linux, one thread) and use two
+CPUs or more; they are forked here, each with its own pipe (_forked). A
+JSONL file of 2 MiB or more (POOL_MIN_CHUNKS chunks of CHUNK_BYTES) is
+parsed and assessed in min(usable CPUs, chunks) workers: the parent cuts
+the file into byte ranges, and takes back each one's frames in runs cut
+at the bad lines, which go through the backend's bad-line policy between
+the runs; watch forks them before its webhook thread starts. score on a
+synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more forks
+min(usable CPUs, spans) workers, each sending the assessment lines of
+every workers-th span of backends.SYNTH_SPAN_FRAMES frames. Everything
+else, watch on a synthetic: script and every input where this process
+may not fork included, is read and assessed in this process, one record
+at a time. So the output, warnings, counts and errors are the same
+either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
-import functools
 import itertools
 import json
 import logging
@@ -228,57 +224,48 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 # Bytes of raw lines per chunk that score and watch hand a worker process.
 CHUNK_BYTES = 256 * 1024
-# The fewest chunks that score and watch run in worker processes, by the
-# pool's start method; a smaller file does not win back the pool's
-# start-up. On 2 CPUs, line-aligned prefixes of the replay-score
-# benchmark input, in alternating one-process and pool runs of score:
-# - fork (first result after about 0.06 s): the pool won 5 of 18 runs at
+# The fewest chunks of a JSONL file that score and watch run in worker
+# processes; a smaller file does not win back their start-up. On 2 CPUs,
+# measured with an executor pool whose first result came about 0.06 s
+# after the run started (bare forks start a few ms sooner):
+# - score, line-aligned prefixes of the replay-score benchmark input in
+#   alternating one-process and pool runs: the pool won 5 of 18 runs at
 #   1 and at 1.5 MiB, 13 of 18 at 2 MiB (6% faster in the median), 16 of
 #   18 at 3 MiB and every run from 4 MiB.
-# - spawn (first result after about 0.27 s): one process was faster up
-#   to 4 MiB, tied at 5-6 MiB, and the pool won from 7 MiB (11 of 11).
-# watch, on prefixes of the replay-watch benchmark input with its webhook
-# (the last two sizes append a second seed's input), alternating again:
-# - fork: the pool won 6 of 12 runs at 1 MiB, 10 of 12 at 1.5 and at
-#   2 MiB (14% faster in the median), 9 of 12 at 3 MiB, 11 of 12 at 4.
-# - spawn: the pool tied with one process from 4 to 14 MiB (5-6 of 10
-#   runs at 4-10 MiB, 6 of 8 at 14, medians within 10%) and won at
-#   21 MiB (7 of 8, 21% faster). Between 8 and 21 MiB a spawned watch pool costs memory
-#   and CPU time for no gain on 2 CPUs; more CPUs win sooner.
-POOL_MIN_CHUNKS = {"fork": 8, "spawn": 32}
-# The fewest frames of a synthetic: script that score runs in forked
-# workers (_forked_synthetic); a shorter script does not win back their
-# start-up. On 2 CPUs, five-scene scripts at noise 0.02, 16 alternating
-# pairs of one-CPU and pool runs each: the pool won 2 pairs at 1,000
-# frames (51k against 73k fps in the median), 6 at 2,000, 5 and then 13
-# at 3,000, 10 in each of two sets at 4,000 (7-8% faster), 12 at 5,000
-# (42% faster), 16 at 6,000 and 14 at 8,000. Spawned workers would import
-# the package before their first frame, so synthetic input never takes a
-# spawned pool.
+# - watch, prefixes of the replay-watch benchmark input with its webhook:
+#   the pool won 6 of 12 runs at 1 MiB, 10 of 12 at 1.5 and at 2 MiB (14%
+#   faster in the median), 9 of 12 at 3 MiB, 11 of 12 at 4.
+POOL_MIN_CHUNKS = 8
+# The fewest frames of a synthetic: script that score runs in worker
+# processes; a shorter script does not win back their start-up. On 2
+# CPUs, five-scene scripts at noise 0.02, 16 alternating pairs of one-CPU
+# and pool runs each: the pool won 2 pairs at 1,000 frames (51k against
+# 73k fps in the median), 6 at 2,000, 5 and then 13 at 3,000, 10 in each
+# of two sets at 4,000 (7-8% faster), 12 at 5,000 (42% faster), 16 at
+# 6,000 and 14 at 8,000.
 SYNTH_POOL_MIN_FRAMES = 5000
 
 
-def _pool_start_method() -> str:
-    """How score and watch start their worker processes: "fork" on Linux
-    while this process runs one thread, else "spawn". Forking a process
-    that holds threads can deadlock the child, and macOS's system
-    libraries are unsafe across fork."""
-    if sys.platform == "linux" and threading.active_count() == 1:
-        return "fork"
-    return "spawn"
+def _may_fork() -> bool:
+    """Whether score and watch may fork worker processes: on Linux, while
+    this process runs one thread. Forking a process that holds threads can
+    deadlock the child, and macOS's system libraries are unsafe across
+    fork."""
+    return sys.platform == "linux" and threading.active_count() == 1
 
 
-def _pool_workers(backend: DetectorBackend, method: str) -> int:
-    """How many worker processes score or watch backend's frames when they
-    start by method, when this process may use two CPUs or more: for a
-    JSONL replay of a regular file of POOL_MIN_CHUNKS[method] chunks or
-    more, min(CPUs, chunks); for a synthetic script of SYNTH_POOL_MIN_FRAMES
-    frames or more, when method is "fork", min(CPUs, spans of
-    SYNTH_SPAN_FRAMES). Otherwise 0, and the command runs in this process.
-    Where the OS does not report which CPUs the process may use, all of
-    them count."""
+def _pool_workers(backend: DetectorBackend) -> int:
+    """How many worker processes score or watch backend's frames, when this
+    process may fork and may use two CPUs or more: for a JSONL replay of a
+    regular file of POOL_MIN_CHUNKS chunks or more, min(CPUs, chunks); for
+    a synthetic script of SYNTH_POOL_MIN_FRAMES frames or more, min(CPUs,
+    spans of SYNTH_SPAN_FRAMES). Otherwise 0, and the command runs in this
+    process. Where the OS does not report which CPUs the process may use,
+    all of them count."""
+    if not _may_fork():
+        return 0
     if isinstance(backend, backends.SyntheticBackend):
-        if method != "fork" or backend.script.frame_count < SYNTH_POOL_MIN_FRAMES:
+        if backend.script.frame_count < SYNTH_POOL_MIN_FRAMES:
             return 0
         units = -(-backend.script.frame_count // backends.SYNTH_SPAN_FRAMES)
     elif isinstance(backend, backends.ReplayBackend) and backend.path != "-":
@@ -287,7 +274,7 @@ def _pool_workers(backend: DetectorBackend, method: str) -> int:
         except OSError:
             return 0  # the one-process path reports it
         units = -(-info.st_size // CHUNK_BYTES)
-        if not stat.S_ISREG(info.st_mode) or units < POOL_MIN_CHUNKS[method]:
+        if not stat.S_ISREG(info.st_mode) or units < POOL_MIN_CHUNKS:
             return 0
     else:
         return 0
@@ -296,69 +283,18 @@ def _pool_workers(backend: DetectorBackend, method: str) -> int:
     return min(cpus, units) if cpus >= 2 else 0
 
 
-def _worker_chunks(backend: backends.ReplayBackend, assess: Callable[..., tuple], workers: int,
-                   method: str, command: str) -> Iterator[tuple]:
-    """assess(path, offset, nbytes, first_line_no), a picklable
-    fusion.assess_span with its leading arguments bound, over backend's
-    file, one span of CHUNK_BYTES at a time, in a pool of workers
-    processes started by method: the spans' non-empty runs of frames, each
-    as (frames, count), in input order. The bad line after each run goes
-    to backend.bad_line when the next run is taken, so in line order among
-    the frames the caller takes; a strict backend raises it, which ends
-    the runs. At most workers + 1 spans are in flight, and those not
-    started are cancelled when the generator ends or is closed. The parent
-    hands each worker a byte range, never lines, and a worker that dies
-    ends the run with one error, which names the command.
-
-    Forked workers share the parent's imported modules and start no
-    resource tracker: on the 10 MB replay-score input, three processes
-    peak at about 57 MB RSS (30 MB PSS), against 76 MB (54 MB) for the
-    four of a spawned pool and 17 MB for one process."""
-    # Only this path needs the pool, so the one-process runs do not pay
-    # for importing it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def results(spans: Iterator[tuple[int, int, int]]) -> Iterator[tuple]:
-        in_flight: collections.deque = collections.deque()
-        for span in spans:
-            in_flight.append(pool.submit(assess, backend.path, *span))
-            if len(in_flight) > workers:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-    try:
-        with contextlib.closing(chunk_spans(backend.path, CHUNK_BYTES)) as spans:
-            for runs, bad in results(spans):
-                for run, exc in itertools.zip_longest(runs, bad):
-                    if run[1]:
-                        yield run
-                    if exc is not None:
-                        backend.bad_line(exc)
-    except BrokenProcessPool as exc:
-        raise ThreatwatchError(f"a {command} worker process died: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _forked_synthetic(script: backends.ScenarioScript, cfg: FusionConfig, workers: int,
-                      command: str) -> Iterator[tuple[str, int]]:
-    """score's runs of script's frames assessed by cfg, (text, count) per
-    span of SYNTH_SPAN_FRAMES frames in input order, made by workers
-    processes forked here. Worker k writes the assessment lines of spans
-    k, k + workers, ... (synthesize's part k) to its own pipe and leaves
-    through os._exit, so it runs none of this process's exit handlers and
-    flushes none of its buffers. The parent knows each span's frame count,
-    so it takes span j's lines from pipe j % workers with no framing; a
-    pipe that ends early means its worker died, which ends the run with
-    one error that names the command. When the generator ends or is
-    closed, the pipes are closed, which ends a worker still running at its
-    next write, and every worker is reaped."""
-    span = backends.SYNTH_SPAN_FRAMES
-    total = script.frame_count
+def _forked(work: Callable[[int], Iterator[bytes]], spans: int, workers: int, command: str,
+            lost: Callable[[int], str]) -> Iterator[bytes]:
+    """The payloads of spans 0 to spans - 1 in order, made by workers
+    processes forked here. Worker k writes the payloads that work(k) yields,
+    those of spans k, k + workers, ..., to its own pipe, each behind its
+    length, and leaves through os._exit, so it runs none of this process's
+    exit handlers and flushes none of its buffers. The parent reads span
+    j's payload from pipe j % workers; a pipe that ends early means its
+    worker died, which ends the run with one error that names the command
+    and, through lost(j), where the output stopped. When the generator ends
+    or is closed, the pipes are closed, which ends a worker still running
+    at its next write, and every worker is reaped."""
     pids: list[int] = []
     pipes: list = []
     try:
@@ -373,12 +309,10 @@ def _forked_synthetic(script: backends.ScenarioScript, cfg: FusionConfig, worker
                     os.close(read_fd)
                     for pipe in pipes:
                         pipe.close()
-                    records = synthesize(script, part=part, parts=workers)
-                    lines = (serialize_assessment(assess_frame(record, cfg)) + "\n"
-                             for record in records)
                     with open(write_fd, "wb") as out:
-                        while text := "".join(itertools.islice(lines, span)):
-                            out.write(text.encode())
+                        for payload in work(part):
+                            out.write(len(payload).to_bytes(8, "little"))
+                            out.write(payload)
                             out.flush()
                     code = 0
                 finally:
@@ -386,20 +320,77 @@ def _forked_synthetic(script: backends.ScenarioScript, cfg: FusionConfig, worker
             os.close(write_fd)
             pids.append(pid)
             pipes.append(open(read_fd, "rb"))
-        for first in range(0, total, span):
-            count = min(span, total - first)
-            pipe = pipes[first // span % workers]
-            lines = list(itertools.islice(pipe, count))
-            if len(lines) < count:
-                raise ThreatwatchError(
-                    f"a {command} worker process died: its output ended after frame "
-                    f"{first + len(lines)} of {total}")
-            yield b"".join(lines).decode(), count
+        for j in range(spans):
+            pipe = pipes[j % workers]
+            size = int.from_bytes(head := pipe.read(8), "little")
+            if len(head) < 8 or len(payload := pipe.read(size)) < size:
+                raise ThreatwatchError(f"a {command} worker process died: {lost(j)}")
+            yield payload
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _replay_runs(backend: backends.ReplayBackend, cfg: FusionConfig, watch: bool, workers: int,
+                 command: str) -> Iterator[tuple]:
+    """score's or watch's runs of frames (fusion.assess_span) of backend's
+    file, in input order, assessed by cfg in up to workers forked processes
+    (_forked), one span of CHUNK_BYTES at a time. The parent cuts the file
+    into spans before the fork and hands each worker byte ranges, never
+    lines; a worker sends each span's (runs, bad) as a pickle. The bad line
+    after each run goes to backend.bad_line when the next run is taken, so
+    in line order among the frames the caller takes; a strict backend
+    raises it, which ends the runs and the workers.
+
+    The workers share the parent's imported modules: on the 10 MB
+    replay-score input, the parent peaks at about 17.9 MB RSS and each of
+    two workers at 17.7 MB, 53 MB together (27.5 MB PSS), against 17.4 MB
+    for one process."""
+    # Only this path needs pickle, so the other runs do not import it.
+    import pickle
+
+    path = backend.path
+    spans = list(chunk_spans(path, CHUNK_BYTES))
+    workers = min(workers, len(spans))
+
+    def work(part: int) -> Iterator[bytes]:
+        for span in spans[part::workers]:
+            yield pickle.dumps(assess_span(cfg, watch, path, *span), pickle.HIGHEST_PROTOCOL)
+
+    with contextlib.closing(_forked(work, len(spans), workers, command,
+                                    lambda j: f"its output ended before line {spans[j][2]}")
+                            ) as payloads:
+        for payload in payloads:
+            runs, bad = pickle.loads(payload)
+            for run, exc in itertools.zip_longest(runs, bad):
+                if run[1]:
+                    yield run
+                if exc is not None:
+                    backend.bad_line(exc)
+
+
+def _synthetic_runs(script: backends.ScenarioScript, cfg: FusionConfig, workers: int,
+                    command: str) -> Iterator[tuple[str, int]]:
+    """score's runs of script's frames assessed by cfg, (text, count) per
+    span of SYNTH_SPAN_FRAMES frames in input order, made in workers forked
+    processes (_forked): worker k sends the assessment lines of
+    synthesize's part k, a span at a time, as UTF-8."""
+    span = backends.SYNTH_SPAN_FRAMES
+    total = script.frame_count
+
+    def work(part: int) -> Iterator[bytes]:
+        records = synthesize(script, part=part, parts=workers)
+        lines = (serialize_assessment(assess_frame(record, cfg)) + "\n" for record in records)
+        while text := "".join(itertools.islice(lines, span)):
+            yield text.encode()
+
+    with contextlib.closing(_forked(work, -(-total // span), workers, command,
+                                    lambda j: f"its output ended after frame {j * span} of {total}")
+                            ) as payloads:
+        for first, payload in zip(range(0, total, span), payloads):
+            yield payload.decode(), min(span, total - first)
 
 
 @contextlib.contextmanager
@@ -408,23 +399,22 @@ def _assessed(backend: DetectorBackend, cfg: FusionConfig,
     """backend's frames assessed by cfg, in input order, for watch as
     (stream_id, frame_id, ts_ms, level, score) per frame, for score as
     runs of (text, count), the assessment lines of count frames. A large
-    JSONL file is assessed in worker processes (_worker_chunks), and so is
-    a long synthetic script for score (_forked_synthetic); anything else
-    here, one record at a time. Read ahead to the first frame, so a
+    JSONL file is assessed in forked worker processes (_replay_runs), and
+    so is a long synthetic script for score (_synthetic_runs); anything
+    else here, one record at a time. Read ahead to the first frame, so a
     missing or bad input fails before the caller creates any output file;
     a replay's bad lines before it go through backend.bad_line on the way,
     from either path. The source is closed on exit, which also closes the
-    input file when the output cannot open, and ends the workers."""
+    input file when the output cannot open, and ends and reaps the
+    workers."""
     watch = command == "watch"
-    method = _pool_start_method()
     synthetic = isinstance(backend, backends.SyntheticBackend)
     # watch's frames are tuples, which the synthetic workers do not make.
-    workers = 0 if watch and synthetic else _pool_workers(backend, method)
+    workers = 0 if watch and synthetic else _pool_workers(backend)
     if workers and synthetic:
-        source = _forked_synthetic(backend.script, cfg, workers, command)
+        source = _synthetic_runs(backend.script, cfg, workers, command)
     elif workers:
-        source = _worker_chunks(backend, functools.partial(assess_span, cfg, watch), workers,
-                                method, command)
+        source = _replay_runs(backend, cfg, watch, workers, command)
     else:
         source = backend.frames()
     try:
@@ -496,8 +486,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
         from .webhook import WebhookSink
     started = time.perf_counter()
     backend = _open_input(args.input, False, args.alerts)
-    # The pool's workers, if any, start with the read-ahead, before the
-    # sink starts its thread.
+    # The workers, if any, are forked in the read-ahead, before the sink
+    # starts its thread.
     with (_assessed(backend, config.fusion, args.command) as assessed,
           WebhookSink(webhook_url) if webhook_url else contextlib.nullcontext() as sink,
           _out_stream(args.alerts) as out):

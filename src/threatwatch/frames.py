@@ -191,16 +191,16 @@ def _entries_error(entries: Sized, prefix: str = "") -> str | None:
     return None
 
 
-def _record_error(stream_id: str, frame_id: int, ts_ms: int, detections: Sized,
-                  keypoints: Sized) -> str | None:
-    """Why the fields are no valid FrameRecord (parts aside), or None."""
+def _stamp_error(stream_id: str, frame_id: int, ts_ms: int) -> str | None:
+    """Why a FrameRecord's stream_id, frame_id and ts_ms are invalid, or
+    None."""
     if not stream_id:
         return "stream_id must be non-empty"
     if not (0 <= frame_id <= _UINT64_MAX):
         return f"frame_id must be a uint64, got {frame_id}"
     if not (0 <= ts_ms <= _UINT64_MAX):
         return f"ts_ms must be a uint64, got {ts_ms}"
-    return _entries_error(detections, "detections: ") or _entries_error(keypoints, "keypoints: ")
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,8 +318,9 @@ class FrameRecord:
     keypoints: tuple[PoseKeypoint, ...] = ()
 
     def __post_init__(self) -> None:
-        error = _record_error(self.stream_id, self.frame_id, self.ts_ms, self.detections,
-                              self.keypoints)
+        error = (_stamp_error(self.stream_id, self.frame_id, self.ts_ms)
+                 or _entries_error(self.detections, "detections: ")
+                 or _entries_error(self.keypoints, "keypoints: "))
         if error is not None:
             raise ValueError(error)
 
@@ -617,7 +618,8 @@ def _frame_fields(obj: dict) -> tuple:
     detections = () if detections is None else _array(detections, _detection, "$.detections")
     keypoints = get("keypoints")
     keypoints = () if keypoints is None else _array(keypoints, _keypoint, "$.keypoints")
-    error = _record_error(stream_id, frame_id, ts_ms, detections, keypoints)
+    # _array has capped the arrays' lengths.
+    error = _stamp_error(stream_id, frame_id, ts_ms)
     if error is not None:
         raise _Invalid("$", error)
     return stream_id, frame_id, ts_ms, scores, detections, keypoints

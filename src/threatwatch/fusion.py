@@ -446,7 +446,7 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
     packed = []
     for run in runs:
         stream_ids, frame_ids, ts_ms, levels, scores = zip(*run) if run else ((),) * 5
-        # frame_id and ts_ms are uint64 (frames._record_error).
+        # frame_id and ts_ms are uint64 (frames._stamp_error).
         packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
                         array("d", scores)), len(run)))
     return packed, bad

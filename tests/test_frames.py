@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threatwatch import frames
 from threatwatch.cli import CHUNK_BYTES
 from threatwatch.frames import (
     MAX_ENTRIES,
@@ -494,6 +495,30 @@ def test_entries_per_array_are_capped(field, entry):
     with pytest.raises(ValueError) as exc_info:
         FrameRecord("c", 1, 0, **{field: entries + entries[:1]})
     assert str(exc_info.value) == f"{field}: expected at most 256 entries, got 257"
+
+
+def test_parse_checks_each_array_length_once(monkeypatch):
+    # The parser caps each array before its elements; the record's own check
+    # of the lengths stays in FrameRecord.__post_init__.
+    checked = []
+    entries_error = frames._entries_error
+
+    def counted(entries, prefix=""):
+        checked.append(len(entries))
+        return entries_error(entries, prefix)
+
+    monkeypatch.setattr(frames, "_entries_error", counted)
+    detection = {"label": "knife", "box": [0.4, 0.5, 0.1, 0.2], "conf": 0.9}
+    keypoint = {"name": "wrist", "x": 0.5, "y": 0.4, "conf": 0.8}
+    line = json.dumps({"stream_id": "c", "frame_id": 1, "ts_ms": 0,
+                       "detections": [detection] * 3, "keypoints": [keypoint] * 2})
+    parse_frame_record(line)
+    assert checked == [3, 2]
+    with pytest.raises(SchemaViolation) as exc_info:
+        parse_frame_record(json.dumps({"stream_id": "c", "frame_id": 1, "ts_ms": 0,
+                                       "detections": [detection] * 257}), 4)
+    assert str(exc_info.value) == "line 4: $.detections: expected at most 256 entries, got 257"
+    assert checked == [3, 2, 257]
 
 
 # Hypothesis fuzz: valid wire records, then keys dropped and values

@@ -72,8 +72,8 @@ def test_star_import_and_version():
 
 
 def test_importing_a_submodule_loads_no_http_client():
-    # nor the worker pool, which only a large input needs, nor evaluation,
-    # which only split and eval use
+    # nor an executor, which nothing imports, nor evaluation, which only
+    # split and eval use
     done = _python("import sys, threatwatch.frames, threatwatch.fusion, threatwatch.cli\n"
                    "print(sorted(m for m in ('threatwatch.webhook', 'urllib.request', 'ssl',"
                    " 'http.client', 'multiprocessing', 'concurrent.futures.process',"
@@ -83,14 +83,40 @@ def test_importing_a_submodule_loads_no_http_client():
     assert done.stdout == "[]\n"
 
 
-def test_fusion_loads_only_what_a_spawned_worker_needs():
-    # A spawned worker imports fusion to run assess_span, and nothing else
-    # of the package.
+def test_fusion_loads_only_frames_and_errors_of_the_package():
     done = _python("import sys, threatwatch.fusion\n"
                    "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'threatwatch'))")
     assert done.returncode == 0, done.stderr
     loaded = ["threatwatch", "threatwatch.errors", "threatwatch.frames", "threatwatch.fusion"]
     assert done.stdout == f"{loaded}\n"
+
+
+# Runs score, then watch, on a file that takes the forked workers, then
+# prints the forks made and which executor modules are loaded.
+_WORKERS = """\
+import os, sys
+from threatwatch import cli
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(None))
+cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS = 100, 2
+os.sched_getaffinity = lambda pid: {0, 1}
+path, out = sys.argv[1:]
+for argv in (["score", "--out"], ["watch", "--alerts"]):
+    assert cli.main([argv[0], "--input", path, argv[1], out]) == 0
+print(len(forks), [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+def test_worker_runs_load_no_executor(tmp_path):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text("".join(f'{{"stream_id":"c","frame_id":{i},"ts_ms":{33 * i}}}\n'
+                              for i in range(1, 40)))
+    done = subprocess.run([sys.executable, "-c", _WORKERS, str(frames), os.devnull],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "4 []\n"
 
 
 def test_webhook_posts_without_urllib_request():

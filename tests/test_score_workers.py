@@ -1,20 +1,18 @@
-"""score and watch on worker processes: the same bytes, warnings, counts
-and exit codes as in one process, bounded workers and chunks in flight,
-a bounded failure when a worker dies, and no fork while watch's webhook
-thread runs; and score on a synthetic: script in forked workers, with
-the same bytes as one process and no worker left behind.
+"""score and watch on forked worker processes, for a large JSONL file and
+for score on a synthetic: script: the same bytes, warnings, counts and
+exit codes as in one process, bounded workers and spans in flight, a
+bounded failure when a worker dies, no fork while a thread runs, and no
+worker left behind.
 
 Each test forces the path it wants: a small CHUNK_BYTES and
 POOL_MIN_CHUNKS (SYNTH_SPAN_FRAMES and SYNTH_POOL_MIN_FRAMES for a
-synthetic: script) and two usable CPUs select the worker pool, one usable
-CPU the one-process loop. The usable CPUs are set through
+synthetic: script) and two usable CPUs select the workers, one usable CPU
+the one-process loop. The usable CPUs are set through
 os.sched_getaffinity, which is added where the platform lacks it
-(macOS). The pool runs under each start method the chooser can pick
-here, forced through its thread count: one thread picks fork on Linux,
-two threads pick spawn.
+(macOS). Workers fork on Linux only; elsewhere every run stays in one
+process, and the tests that need a fork are skipped.
 """
 
-import concurrent.futures
 import gc
 import http.server
 import importlib.util
@@ -22,14 +20,13 @@ import io
 import itertools
 import json
 import logging
-import multiprocessing
 import os
 import pathlib
 import re
 import subprocess
 import sys
-import textwrap
 import threading
+import time
 
 import pytest
 
@@ -44,15 +41,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUMMARY_RE = re.compile(r"summary: frames=(\d+) skipped=(\d+) elapsed_s=[\d.]+ rate_fps=[\d.]+")
 TIMINGS_RE = re.compile(r" elapsed_s=[\d.]+ rate_fps=[\d.]+$")
 
-# The start methods the chooser can pick on this platform.
-START_METHODS = ("fork", "spawn") if sys.platform == "linux" else ("spawn",)
+LINUX = sys.platform == "linux"
+fork_only = pytest.mark.skipif(not LINUX, reason="workers fork only on Linux")
+
+# One entry per fork of this process. A hook of os.register_at_fork cannot
+# be removed, so this one is registered once, at import.
+_FORKED = []
+os.register_at_fork(after_in_parent=lambda: _FORKED.append(None))
 
 
-def _force(monkeypatch, method):
-    """Make cli._pool_start_method pick method, through the thread count
-    it reads: one thread for fork, two for spawn."""
-    monkeypatch.setattr(threading, "active_count", lambda: 1 if method == "fork" else 2)
-    assert cli._pool_start_method() == method
+def _no_child():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _line(frame_id, **extra):
@@ -79,19 +80,15 @@ HOSTILE = b"".join([
 ])
 
 
-def _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2,
-          method=None):
-    """main(argv) with cpus usable CPUs, the given chunk size, the fewest
-    chunks for the pool under either start method (None: the shipped
-    ones) and the pool started by method (None: as the chooser finds);
-    returns the exit code, the warnings logged and stderr."""
+def _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2):
+    """main(argv) with cpus usable CPUs, the given chunk size and the fewest
+    chunks for the workers (None: the shipped threshold); returns the exit
+    code, the warnings logged and stderr."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
     if min_chunks is not None:
-        monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": min_chunks, "spawn": min_chunks})
-    if method is not None:
-        _force(monkeypatch, method)
+        monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", min_chunks)
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         code = main(argv)
@@ -99,11 +96,9 @@ def _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, 
     return code, warnings, capsys.readouterr().err
 
 
-def _run(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2,
-         method=None):
+def _run(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes=cli.CHUNK_BYTES, min_chunks=2):
     """_main(...)'s observables except timings, for score."""
-    code, warnings, err = _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks,
-                                method)
+    code, warnings, err = _main(argv, monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks)
     summary = SUMMARY_RE.search(err)
     errors = [line for line in err.splitlines() if not line.startswith("summary: ")]
     return code, summary and summary.groups(), warnings, errors
@@ -116,18 +111,21 @@ def _untimed(err):
 
 def _score_every_way(tmp_path, data, monkeypatch, caplog, capsys, chunk_bytes, extra=(),
                      min_chunks=2):
-    """score data in one process, then in the pool under each of
-    START_METHODS, each into its own --out, which a test may fill
-    beforehand: out1.jsonl, out2-fork.jsonl, out2-spawn.jsonl. Returns
-    each run's observables and output bytes, the one-process run first."""
+    """score data in one process, then on two CPUs, which forks workers on
+    Linux, each into its own --out, which a test may fill beforehand:
+    out1.jsonl, out2.jsonl. Returns each run's observables and output
+    bytes, the one-process run first; checks that only the second run
+    forked, where it can, and that no child is left."""
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(data)
     results = []
-    for cpus, method, name in [(1, None, "out1"),
-                               *((2, m, f"out2-{m}") for m in START_METHODS)]:
-        out = tmp_path / f"{name}.jsonl"
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}.jsonl"
+        forked = len(_FORKED)
         seen = _run(["score", "--input", str(frames), "--out", str(out), *extra],
-                    monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks, method)
+                    monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks)
+        assert (len(_FORKED) > forked) == (cpus == 2 and LINUX)
+        _no_child()
         results.append((seen, out.read_bytes() if out.exists() else None))
     return results
 
@@ -143,11 +141,13 @@ def _load_workloads():
 def test_seed0_replay_score_input_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
     workload = _load_workloads().generate("replay-score", 0, tmp_path / "in")
     data = pathlib.Path(workload.input_uri.partition(":")[2]).read_bytes()
-    # large enough for the pool at the shipped chunk size and thresholds
-    assert len(data) >= max(cli.POOL_MIN_CHUNKS.values()) * cli.CHUNK_BYTES
-    serial, *pools = _score_every_way(tmp_path, data, monkeypatch, caplog, capsys,
+    # large enough for the workers at the shipped chunk size and threshold
+    assert len(data) >= cli.POOL_MIN_CHUNKS * cli.CHUNK_BYTES
+    forked = len(_FORKED)
+    serial, pooled = _score_every_way(tmp_path, data, monkeypatch, caplog, capsys,
                                       cli.CHUNK_BYTES, min_chunks=None)
-    assert pools == [serial] * len(START_METHODS)
+    assert len(_FORKED) - forked == (2 if LINUX else 0)
+    assert pooled == serial
     (code, summary, warnings, errors), out = serial
     assert code == 0 and errors == []
     assert summary == (str(len(out.splitlines())), str(workload.truth.bad_lines))
@@ -156,9 +156,9 @@ def test_seed0_replay_score_input_matches_one_process(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("chunk_bytes", [1, 600, 4096, 200_000])
 def test_hostile_lines_match_one_process(tmp_path, monkeypatch, caplog, capsys, chunk_bytes):
-    serial, *pools = _score_every_way(tmp_path, HOSTILE, monkeypatch, caplog, capsys,
+    serial, pooled = _score_every_way(tmp_path, HOSTILE, monkeypatch, caplog, capsys,
                                       chunk_bytes)
-    assert pools == [serial] * len(START_METHODS)
+    assert pooled == serial
     (code, summary, warnings, _), out = serial
     assert code == 0
     assert summary == ("5", "5")
@@ -175,9 +175,9 @@ def test_lines_either_side_of_a_chunk_boundary(tmp_path, monkeypatch, caplog, ca
     for i in range(1, 31):
         line = _line(i) if i % 3 else b"{" + b"x" * 100
         lines.append(line.ljust(169) + b"\n")
-    serial, *pools = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog,
+    serial, pooled = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog,
                                       capsys, chunk_bytes)
-    assert pools == [serial] * len(START_METHODS)
+    assert pooled == serial
     assert serial[0][1] == ("20", "10")
 
 
@@ -186,11 +186,11 @@ def test_strict_stops_at_the_first_bad_line(tmp_path, monkeypatch, caplog, capsy
     lines = [_line(i) + b"\n" for i in range(1, 60)]
     lines[first_bad - 1] = b"{broken\n"
     lines[50] = b"[1]\n"
-    for name in ("out1", *(f"out2-{m}" for m in START_METHODS)):
+    for name in ("out1", "out2"):
         (tmp_path / f"{name}.jsonl").write_text("earlier run\n")
-    serial, *pools = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog,
+    serial, pooled = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog,
                                       capsys, 200, ["--strict"])
-    assert pools == [serial] * len(START_METHODS)
+    assert pooled == serial
     (code, summary, warnings, errors), out = serial
     assert code == 1 and summary is None and warnings == []
     assert errors == [f"error: line {first_bad}: malformed JSON: "
@@ -208,11 +208,11 @@ def test_strict_raises_the_first_of_two_bad_lines_in_one_span(tmp_path, monkeypa
     # raises the first and logs neither.
     lines = [_line(i) + b"\n" for i in range(1, 40)]
     lines[9:11] = [b"{broken\n", b"[1]\n"]
-    serial, *pools = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog, capsys,
+    serial, pooled = _score_every_way(tmp_path, b"".join(lines), monkeypatch, caplog, capsys,
                                       2000, ["--strict"])
     spans = list(chunk_spans(str(tmp_path / "frames.jsonl"), 2000))
     assert len(spans) > 1 and spans[0][2] < 10 < 11 < spans[1][2]
-    assert pools == [serial] * len(START_METHODS)
+    assert pooled == serial
     (code, summary, warnings, errors), out = serial
     assert code == 1 and summary is None and warnings == []
     assert errors == ["error: line 10: malformed JSON: "
@@ -228,7 +228,7 @@ def test_missing_input_exits_2_and_leaves_out_untouched(tmp_path, monkeypatch, c
                 monkeypatch, caplog, capsys, 2, 1)
     assert seen[0] == 2
     assert out.read_text() == "earlier run\n"
-    assert multiprocessing.active_children() == []
+    _no_child()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -244,7 +244,7 @@ def test_input_that_is_also_out_is_refused_untouched(tmp_path, monkeypatch, capl
                     cpus, 300)
         assert seen == (1, None, [], [f"error: input and output are the same file: {out}"])
         assert frames.read_bytes() == data
-    assert multiprocessing.active_children() == []
+    _no_child()
 
 
 def test_unwritable_out_exits_2_and_closes_input(tmp_path, monkeypatch, caplog, capsys):
@@ -264,59 +264,56 @@ def test_unwritable_out_exits_2_and_closes_input(tmp_path, monkeypatch, caplog, 
     # a directory cannot be opened for writing, whatever the permissions
     argv = ["score", "--input", str(frames), "--out", str(tmp_path)]
     serial = _run(argv, monkeypatch, caplog, capsys, 1, 300)
-    for method in START_METHODS:
-        assert _run(argv, monkeypatch, caplog, capsys, 2, 300, method=method) == serial
+    forked = len(_FORKED)
+    assert _run(argv, monkeypatch, caplog, capsys, 2, 300) == serial
+    assert len(_FORKED) - forked == (2 if LINUX else 0)
     assert serial[0] == 2 and len(serial[2]) == 1
     assert serial[3][0].startswith("i/o error: ")
-    assert len(opened) == 1 + len(START_METHODS) and all(fh.closed for fh in opened)
-    assert multiprocessing.active_children() == []
+    # the workers' own opens happen in their processes
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+    _no_child()
 
 
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    """Records its size, the processes it started and the most chunks
-    submitted whose result was not yet taken."""
-
-    made = []
-
-    def __init__(self, max_workers, **kwargs):
-        super().__init__(max_workers, **kwargs)
-        self.max_workers = max_workers
-        self.started = self.outstanding = self.peak_outstanding = 0
-        self.made.append(self)
-
-    def submit(self, fn, *args):
-        future = super().submit(fn, *args)
-        self.started = max(self.started, len(multiprocessing.active_children()))
-        self.outstanding += 1
-        self.peak_outstanding = max(self.peak_outstanding, self.outstanding)
-        result = future.result
-
-        def taken(timeout=None):
-            self.outstanding -= 1
-            return result(timeout)
-
-        future.result = taken
-        return future
-
-
+@fork_only
 @pytest.mark.parametrize("cpus, lines, chunk_bytes, workers", [(2, 200, 1, 2), (4, 3, 150, 3)])
-def test_workers_and_chunks_in_flight_are_bounded(tmp_path, monkeypatch, caplog, capsys,
-                                                  cpus, lines, chunk_bytes, workers):
-    # 135-byte lines: a 1-byte chunk is one line, a 150-byte chunk two
+def test_workers_and_chunks_in_flight_are_bounded(tmp_path, monkeypatch, cpus, lines, chunk_bytes,
+                                                  workers):
+    # Lines longer than a pipe and the parent's read buffer hold, one to a
+    # span: a worker blocks in the write of a span's payload until the
+    # parent reads it. min(CPUs, chunks) workers, but no more than spans: 3
+    # lines are 3 spans but more than 4 chunks by size.
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    capacity = fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+    os.close(read_fd)
+    os.close(write_fd)
+    stream_id = b'"%s"' % (b"c" * (capacity + 2 * io.DEFAULT_BUFFER_SIZE))
     frames = tmp_path / "frames.jsonl"
-    frames.write_bytes(b"".join(_line(i) + b"\n" for i in range(1, lines + 1)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    for method in START_METHODS:
-        monkeypatch.setattr(_RecordingPool, "made", [])
-        code, summary, _, _ = _run(["score", "--input", str(frames), "--out", os.devnull],
-                                   monkeypatch, caplog, capsys, cpus, chunk_bytes, method=method)
-        assert (code, summary) == (0, (str(lines), "0"))
-        [pool] = _RecordingPool.made
-        assert pool.max_workers == workers
-        assert 1 <= pool.started <= workers
-        assert pool.peak_outstanding <= workers + 1
-        assert pool.outstanding == 0
-        assert multiprocessing.active_children() == []
+    frames.write_bytes(b"".join(_line(i).replace(b'"c"', stream_id) + b"\n"
+                                for i in range(1, lines + 1)))
+    started = tmp_path / "started"
+    assess = cli.assess_span
+
+    def counted(*args):
+        with open(started, "ab") as log:
+            log.write(b".")
+        return assess(*args)
+
+    monkeypatch.setattr(cli, "assess_span", counted)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forked = len(_FORKED)
+    with cli._assessed(open_backend(f"jsonl:{frames}", False), FusionConfig(), "score") as runs:
+        assert len(_FORKED) - forked == workers
+        # The read-ahead took span 0; each worker may have made one more
+        # span, and then waits for the parent to read it.
+        time.sleep(0.5)
+        assert 1 <= len(started.read_bytes()) <= 1 + workers
+        assert sum(count for _, count in runs) == lines
+    assert started.read_bytes() == b"." * lines
+    _no_child()
 
 
 def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
@@ -324,43 +321,48 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
     frames.write_bytes(_line(1) + b"\n" + _line(2) + b"\n")
     script = tmp_path / "s.json"
     script.write_text(json.dumps({"segments": [{"scene": "empty", "duration_frames": 1}]}))
+    monkeypatch.setattr(cli, "_may_fork", lambda: True)
     monkeypatch.setattr(cli, "CHUNK_BYTES", frames.stat().st_size // 2 + 1)
-    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": 2, "spawn": 3})
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
     cpus = {1: 0, 2: 2, 8: 2}  # two chunks: never more workers than chunks
     for n, workers in cpus.items():
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)),
                             raising=False)
-        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == workers
-        # fewer chunks than spawn's threshold
-        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "spawn") == 0
+        assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == workers
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 3)  # fewer chunks than the threshold
+    assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == 0
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
     for uri in ("jsonl:-", f"jsonl:{tmp_path}", f"jsonl:{tmp_path / 'ghost'}",
                 f"synthetic:{script}"):
-        assert cli._pool_workers(open_backend(uri), "fork") == 0
+        assert cli._pool_workers(open_backend(uri)) == 0
     monkeypatch.setattr(cli, "CHUNK_BYTES", frames.stat().st_size)  # one chunk
-    assert cli._pool_workers(open_backend(f"jsonl:{frames}"), "fork") == 0
-    # A synthetic script of 12 frames, three spans of 4, takes forked
-    # workers from SYNTH_POOL_MIN_FRAMES frames, one a span on 8 CPUs, and
-    # never spawned ones.
+    assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == 0
+    # A synthetic script of 12 frames, three spans of 4, takes workers from
+    # SYNTH_POOL_MIN_FRAMES frames, one a span on 8 CPUs.
     script.write_text(json.dumps({"segments": [{"scene": "empty", "duration_frames": 11},
                                                {"scene": "hand_only", "duration_frames": 1}]}))
     monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 4)
-    for min_frames, method, workers in ((13, "fork", 0), (12, "fork", 3), (12, "spawn", 0)):
+    for min_frames, workers in ((13, 0), (12, 3)):
         monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", min_frames)
-        assert cli._pool_workers(open_backend(f"synthetic:{script}"), method) == workers
+        assert cli._pool_workers(open_backend(f"synthetic:{script}")) == workers
+    # Where this process may not fork, nothing takes workers.
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    assert cli._pool_workers(open_backend(f"synthetic:{script}")) == 0
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+    assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == 0
 
 
 def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatch):
-    # 2 MiB for a forked pool, 8 MiB for a spawned one
-    assert (cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS) == (256 * 1024, {"fork": 8, "spawn": 32})
+    # 2 MiB
+    assert (cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS) == (256 * 1024, 8)
+    monkeypatch.setattr(cli, "_may_fork", lambda: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     frames = tmp_path / "frames.jsonl"
-    for method, min_chunks in cli.POOL_MIN_CHUNKS.items():
-        for size, workers in ((min_chunks - 1) * cli.CHUNK_BYTES, 0), \
-                (min_chunks * cli.CHUNK_BYTES, 2):
-            with open(frames, "wb") as fh:
-                fh.truncate(size)  # sparse: only the size is read
-            assert cli._pool_workers(open_backend(f"jsonl:{frames}"), method) == workers
+    for size, workers in ((7 * cli.CHUNK_BYTES, 0), (8 * cli.CHUNK_BYTES, 2)):
+        with open(frames, "wb") as fh:
+            fh.truncate(size)  # sparse: only the size is read
+        assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == workers
 
 
 @pytest.mark.parametrize("cpu_count, workers", [(None, 0), (1, 0), (2, 2), (8, 3)])
@@ -376,30 +378,26 @@ def test_cpu_count_stands_in_where_affinity_is_unknown(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "CHUNK_BYTES", len(HOSTILE) // 3 + 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    for method in START_METHODS:
-        _force(monkeypatch, method)
-        assert cli._pool_workers(open_backend(f"jsonl:{frames}"), method) == workers
-        out.unlink()
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            code = main(argv)
-        err = capsys.readouterr().err
-        seen = (code, SUMMARY_RE.search(err).groups(),
-                [(r.name, r.levelname, r.getMessage()) for r in caplog.records],
-                [line for line in err.splitlines() if not line.startswith("summary: ")])
-        assert (seen, out.read_bytes()) == serial
-        assert multiprocessing.active_children() == []
+    assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == (workers if LINUX else 0)
+    out.unlink()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        code = main(argv)
+    err = capsys.readouterr().err
+    seen = (code, SUMMARY_RE.search(err).groups(),
+            [(r.name, r.levelname, r.getMessage()) for r in caplog.records],
+            [line for line in err.splitlines() if not line.startswith("summary: ")])
+    assert (seen, out.read_bytes()) == serial
+    _no_child()
 
 
-# Runs the command in the arguments after its first three: with CPUS
-# usable CPUs, 100-byte chunks and pool thresholds of 2 chunks, the pool
-# started by METHOD (forced through the thread count) and, for ACTION
-# "die", workers that exit at once. It writes "head" to stdout, unflushed,
-# before running; logs each pool's start method on stderr; and ends by
-# printing how many child processes are left and, for ACTION "forks", how
-# many threads ran at each fork or, for ACTION "ssl", whether ssl was loaded.
+# Runs the command in the arguments after its first two: with CPUS usable
+# CPUs, 100-byte chunks, a threshold of 2 chunks and, for ACTION "die",
+# JSONL workers that exit at once. It writes "head" to stdout, unflushed,
+# before running, and ends by printing on stderr the number of threads at
+# each fork, whether a child is left and, for ACTION "ssl", whether ssl was
+# loaded.
 RUNNER = """\
-import multiprocessing
 import os
 import sys
 import threading
@@ -411,107 +409,96 @@ def die(*args):
     os._exit(3)
 
 
-def logged(method, get_context=multiprocessing.get_context):
-    print(f"pool: {method}", file=sys.stderr)
-    return get_context(method)
-
-
-if __name__ == "__main__":
-    cpus, method, action, *argv = sys.argv[1:]
-    if action == "die":
-        cli.assess_span = die
-    forks = []
-    if action == "forks":
-        os.register_at_fork(before=lambda count=threading.active_count: forks.append(count()))
-    cli.CHUNK_BYTES = 100
-    cli.POOL_MIN_CHUNKS = {"fork": 2, "spawn": 2}
-    os.sched_getaffinity = lambda pid: set(range(int(cpus)))
-    threading.active_count = lambda: 1 if method == "fork" else 2
-    multiprocessing.get_context = logged
-    sys.stdout.write("head\\n")
-    code = cli.main(argv)
-    print(len(multiprocessing.active_children()), file=sys.stderr)
-    if action == "forks":
-        print(f"threads at each fork: {forks}", file=sys.stderr)
-    if action == "ssl":
-        print(f"ssl loaded: {'ssl' in sys.modules}", file=sys.stderr)
-    sys.exit(code)
+cpus, action, *argv = sys.argv[1:]
+if action == "die":
+    cli.assess_span = die
+forks = []
+os.register_at_fork(before=lambda count=threading.active_count: forks.append(count()))
+cli.CHUNK_BYTES = 100
+cli.POOL_MIN_CHUNKS = 2
+os.sched_getaffinity = lambda pid: set(range(int(cpus)))
+sys.stdout.write("head\\n")
+code = cli.main(argv)
+print(f"threads at each fork: {forks}", file=sys.stderr)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", file=sys.stderr)
+except ChildProcessError:
+    print("no child is left", file=sys.stderr)
+if action == "ssl":
+    print(f"ssl loaded: {'ssl' in sys.modules}", file=sys.stderr)
+sys.exit(code)
 """
 
 
-def _run_script(tmp_path, cpus, method, action, *argv):
+def _run_script(tmp_path, cpus, action, *argv):
     runner = tmp_path / "runner.py"
     runner.write_text(RUNNER)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(runner), str(cpus), method, action, *argv],
+    return subprocess.run([sys.executable, str(runner), str(cpus), action, *argv],
                           capture_output=True, env=env, timeout=60)
 
 
+@fork_only
 def test_worker_death_exits_1_without_hanging(tmp_path):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(b"".join(_line(i) + b"\n" for i in range(1, 50)))
-    for method, (command, out) in itertools.product(START_METHODS, [("score", "--out"),
-                                                                     ("watch", "--alerts")]):
-        done = _run_script(tmp_path, 2, method, "die", command, "--input", str(frames),
+    for command, out in [("score", "--out"), ("watch", "--alerts")]:
+        done = _run_script(tmp_path, 2, "die", command, "--input", str(frames),
                            out, str(tmp_path / "out.jsonl"))
         assert done.returncode == 1
         assert done.stdout == b"head\n"
-        pool, error, left = done.stderr.decode().splitlines()
-        assert pool == f"pool: {method}"
-        assert error.startswith(f"error: a {command} worker process died: ")
-        assert left == "0"
+        assert done.stderr.decode().splitlines() == [
+            f"error: a {command} worker process died: its output ended before line 1",
+            "threads at each fork: [1, 1]", "no child is left"]
 
 
-@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux")
+@fork_only
 def test_stdout_from_the_forked_pool_matches_one_process(tmp_path):
     # Children forked with "head" still buffered would write it again if
-    # they flushed it; the pool's fork flushes first, and its workers
-    # leave through os._exit.
+    # they flushed it; the workers leave through os._exit.
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(HOSTILE)
     argv = ["score", "--input", str(frames), "--out", "-"]
-    serial = _run_script(tmp_path, 1, "fork", "score", *argv)
-    forked = _run_script(tmp_path, 2, "fork", "score", *argv)
+    serial = _run_script(tmp_path, 1, "score", *argv)
+    forked = _run_script(tmp_path, 2, "score", *argv)
     assert serial.returncode == forked.returncode == 0
     assert forked.stdout == serial.stdout
     assert serial.stdout.startswith(b"head\n{") and serial.stdout.count(b"head") == 1
     assert serial.stdout.count(b"\n") == 6
-    pools = [line for line in forked.stderr.decode().splitlines() if line.startswith("pool: ")]
-    assert pools == ["pool: fork"]
+    assert forked.stderr.decode().splitlines()[-2:] == ["threads at each fork: [1, 1]",
+                                                        "no child is left"]
 
 
 def test_pool_forks_only_on_linux_with_one_thread(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 1)
-    for platform, method in [("linux", "fork"), ("darwin", "spawn"), ("win32", "spawn")]:
+    for platform, may in [("linux", True), ("darwin", False), ("win32", False)]:
         monkeypatch.setattr(sys, "platform", platform)
-        assert cli._pool_start_method() == method
+        assert cli._may_fork() is may
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert cli._pool_start_method() == "spawn"
+    assert cli._may_fork() is False
 
 
-def test_a_live_thread_keeps_the_pool_on_spawn(tmp_path, monkeypatch, caplog, capsys):
+def test_a_live_thread_keeps_a_large_file_in_one_process(tmp_path, monkeypatch, caplog, capsys):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(HOSTILE)
     out = tmp_path / "out.jsonl"
     argv = ["score", "--input", str(frames), "--out", str(out)]
     serial = _run(argv, monkeypatch, caplog, capsys, 1, 600), out.read_bytes()
-    get_context, started = multiprocessing.get_context, []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: started.append(method) or get_context(method))
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
+    forked = len(_FORKED)
     try:
-        assert cli._pool_start_method() == "spawn"
+        assert cli._may_fork() is False
         pooled = _run(argv, monkeypatch, caplog, capsys, 2, 600), out.read_bytes()
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    assert started == ["spawn"]
+    assert len(_FORKED) == forked
     assert pooled == serial
-    assert multiprocessing.active_children() == []
 
 
 # Detections that assess to each level: a lone knife is cold
@@ -551,47 +538,42 @@ def _streams():
 
 
 def _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys, chunk_bytes, min_chunks=2):
-    """watch data in one process, then in a pool of one worker and of two
-    under each of START_METHODS, each into its own --alerts. Returns each
-    run's exit code, warnings, stderr lines without timings and alerts
-    bytes, the one-process run first, and the start methods of the pools
-    the later runs made."""
+    """watch data in one process, then on two CPUs with at most one worker
+    and at most two, each into its own --alerts. Returns each run's exit
+    code, warnings, stderr lines without timings and alerts bytes, the
+    one-process run first, and the forks of the later runs; no child is
+    left."""
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(data)
-    get_context, started = multiprocessing.get_context, []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: started.append(method) or get_context(method))
     pool_workers = cli._pool_workers
-    runs, pools = [], []
-    for cpus, method, workers in [(1, None, 0),
-                                  *((2, m, w) for m in START_METHODS for w in (1, 2))]:
+    runs, forks = [], []
+    for cpus, workers in [(1, 0), (2, 1), (2, 2)]:
         monkeypatch.setattr(cli, "_pool_workers",
-                            lambda backend, method, w=workers: min(pool_workers(backend, method), w))
-        alerts = tmp_path / f"alerts-{method}-{workers}.jsonl"
-        started.clear()
+                            lambda backend, w=workers: min(pool_workers(backend), w))
+        alerts = tmp_path / f"alerts-{workers}.jsonl"
+        forked = len(_FORKED)
         code, warnings, err = _main(["watch", "--input", str(frames), "--alerts", str(alerts)],
-                                    monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks,
-                                    method)
+                                    monkeypatch, caplog, capsys, cpus, chunk_bytes, min_chunks)
         runs.append((code, warnings, _untimed(err),
                      alerts.read_bytes() if alerts.exists() else None))
         if cpus > 1:
-            pools.append(tuple(started))
-        assert multiprocessing.active_children() == []
-    return runs, pools
+            forks.append(len(_FORKED) - forked)
+        _no_child()
+    return runs, forks
 
 
-# The pools _watch_every_way's later runs make when the input takes the pool.
-WATCH_POOLS = [(m,) for m in START_METHODS for _ in (1, 2)]
+# The forks of _watch_every_way's later runs when the input takes workers.
+WATCH_FORKS = [1, 2] if LINUX else [0, 0]
 
 
 def test_seed0_replay_watch_input_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
     workload = _load_workloads().generate("replay-watch", 0, tmp_path / "in")
     data = pathlib.Path(workload.input_uri.partition(":")[2]).read_bytes()
-    assert len(data) >= max(cli.POOL_MIN_CHUNKS.values()) * cli.CHUNK_BYTES
-    (serial, *pooled), pools = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
+    assert len(data) >= cli.POOL_MIN_CHUNKS * cli.CHUNK_BYTES
+    (serial, *pooled), forks = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
                                                 cli.CHUNK_BYTES, min_chunks=None)
-    assert pools == WATCH_POOLS
-    assert pooled == [serial] * len(WATCH_POOLS)
+    assert forks == WATCH_FORKS
+    assert pooled == [serial] * 2
     code, warnings, err, alerts = serial
     truth = workload.truth
     events = alerts.splitlines()
@@ -610,10 +592,10 @@ def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog,
     # frame it repeats; the first chunks hold only bad lines, up to 1,000
     # bytes. HOSTILE adds a fourth stream of hostile lines.
     data = _streams() + HOSTILE
-    (serial, *pooled), pools = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
+    (serial, *pooled), forks = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys,
                                                 chunk_bytes)
-    assert pools == WATCH_POOLS
-    assert pooled == [serial] * len(WATCH_POOLS)
+    assert forks == WATCH_FORKS
+    assert pooled == [serial] * 2
     code, warnings, err, alerts = serial
     assert code == 0
     # 120 frames of three streams plus 7 stale ones; 10 bad lines; HOSTILE
@@ -626,21 +608,19 @@ def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog,
         "threatwatch.backends")
 
 
-@pytest.mark.parametrize("method", START_METHODS)
-def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplog, method):
+def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplog):
     # The frames watch feeds its alert tracker, not only the bytes it
-    # writes: an int level from the pool would serialize alike.
+    # writes: an int level from the workers would serialize alike.
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams() + HOSTILE)
     monkeypatch.setattr(cli, "CHUNK_BYTES", 300)
-    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", {"fork": 2, "spawn": 2})
-    _force(monkeypatch, method)
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
     seen = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
                             raising=False)
         backend = open_backend(f"jsonl:{frames}", False)
-        assert bool(cli._pool_workers(backend, method)) == (cpus == 2)
+        assert bool(cli._pool_workers(backend)) == (cpus == 2 and LINUX)
         with caplog.at_level(logging.WARNING), cli._assessed(backend, FusionConfig(),
                                                             "watch") as assessed:
             seen.append(list(assessed))
@@ -649,18 +629,18 @@ def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplo
     assert pooled == serial
     assert [tuple(map(type, frame)) for frame in serial + pooled] == (
         [(str, int, int, ThreatLevel, float)] * 2 * len(serial))
-    assert multiprocessing.active_children() == []
+    _no_child()
 
 
-@pytest.mark.parametrize("data, pools", [(b"{x\n" * 40 + b"[1]\n" + b"\n", WATCH_POOLS),
-                                         (b"", [()] * len(WATCH_POOLS))],
+@pytest.mark.parametrize("data, forks", [(b"{x\n" * 40 + b"[1]\n" + b"\n", WATCH_FORKS),
+                                         (b"", [0, 0])],
                          ids=["all_bad", "empty"])
 def test_watch_of_no_frames_matches_one_process(tmp_path, monkeypatch, caplog, capsys, data,
-                                                pools):
-    # An empty file has no chunk, so it never takes the pool.
+                                                forks):
+    # An empty file has no chunk, so it never takes workers.
     (serial, *pooled), made = _watch_every_way(tmp_path, data, monkeypatch, caplog, capsys, 10)
-    assert made == pools
-    assert pooled == [serial] * len(WATCH_POOLS)
+    assert made == forks
+    assert pooled == [serial] * 2
     code, warnings, err, alerts = serial
     skipped = data.count(b"\n") - 1 if data else 0
     assert (code, len(warnings), alerts) == (0, skipped, b"")
@@ -678,7 +658,7 @@ def test_watch_of_a_missing_input_leaves_alerts_untouched(tmp_path, monkeypatch,
         assert (code, warnings) == (2, [])
         assert [line.split(":")[0] for line in err.splitlines()] == ["i/o error"]
         assert alerts.read_text() == "earlier run\n"
-    assert multiprocessing.active_children() == []
+    _no_child()
 
 
 def test_watch_input_that_is_also_alerts_is_refused_untouched(tmp_path, monkeypatch, caplog,
@@ -691,7 +671,7 @@ def test_watch_input_that_is_also_alerts_is_refused_untouched(tmp_path, monkeypa
                      caplog, capsys, cpus, 300)
         assert seen == (1, [], f"error: input and output are the same file: {frames}\n")
         assert frames.read_bytes() == data
-    assert multiprocessing.active_children() == []
+    _no_child()
 
 
 class _Receiver(http.server.BaseHTTPRequestHandler):
@@ -725,60 +705,37 @@ def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
     frames.write_bytes(_streams())
     url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
     runs = []
-    for cpus, method in [(1, START_METHODS[0]), *((2, m) for m in START_METHODS)]:
-        done = _run_script(tmp_path, cpus, method, "ssl", "watch", "--input", str(frames),
+    for cpus in (1, 2):
+        done = _run_script(tmp_path, cpus, "ssl", "watch", "--input", str(frames),
                            "--alerts", "-", "--webhook", url)
-        err = [line for line in _untimed(done.stderr.decode()) if not line.startswith("pool: ")]
+        err = _untimed(done.stderr.decode())
+        assert err[-3] == ("threads at each fork: [1, 1]" if cpus > 1 and LINUX
+                           else "threads at each fork: []")
+        del err[-3]
         runs.append((done.returncode, done.stdout, err, receiver.bodies[:]))
         receiver.bodies.clear()
-        pools = [line for line in done.stderr.decode().splitlines() if line.startswith("pool: ")]
-        assert pools == ([f"pool: {method}"] if cpus > 1 else [])
-    serial, *pooled = runs
-    assert pooled == [serial] * len(START_METHODS)
+    serial, pooled = runs
+    assert pooled == serial
     code, stdout, err, bodies = serial
     assert code == 0 and stdout.startswith(b"head\n")
     assert bodies == stdout.splitlines()[1:] and len(bodies) == 17
     # an http:// webhook loads no ssl
     assert err[-4:] == ["summary: frames=127 skipped=10 dropped=7 alerts_raised=6 events=17",
-                        "webhook: delivered=17 failed=0 dropped=0", "0", "ssl loaded: False"]
+                        "webhook: delivered=17 failed=0 dropped=0", "no child is left",
+                        "ssl loaded: False"]
 
 
-@pytest.mark.skipif("fork" not in START_METHODS, reason="the pool forks only on Linux")
+@fork_only
 def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, receiver):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams())
     url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
-    done = _run_script(tmp_path, 2, "fork", "forks", "watch", "--input", str(frames),
+    done = _run_script(tmp_path, 2, "forks", "watch", "--input", str(frames),
                        "--alerts", os.devnull, "--webhook", url)
     assert done.returncode == 0, done.stderr
-    lines = done.stderr.decode().splitlines()
-    assert lines[0] == "pool: fork"
-    assert lines[-3:-1] == ["webhook: delivered=17 failed=0 dropped=0", "0"]
-    # the real thread count, not the one forced to pick fork
-    assert lines[-1] == "threads at each fork: [1, 1]"
-
-
-def _forks(monkeypatch):
-    """The pids of the processes os.fork makes from now on. Only those can
-    be checked for reaping: a spawned pool's resource tracker, started by
-    an earlier test, stays a child of this process."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def _reaped(pids):
-    """Each of pids has been waited for."""
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert done.stderr.decode().splitlines()[-3:] == [
+        "webhook: delivered=17 failed=0 dropped=0", "threads at each fork: [1, 1]",
+        "no child is left"]
 
 
 def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
@@ -792,33 +749,28 @@ def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
 
 
 def _score_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, cpus, span=8, min_frames=2,
-                     method="fork", stdin=None, out=None):
+                     stdin=None, out=None):
     """score uri with cpus usable CPUs, spans of span frames, the synthetic
-    pool from min_frames frames (None: the shipped threshold), the pool
-    started by method (None: as the chooser finds) and stdin's bytes, if
-    given. Returns _run's observables, the output bytes (None for an out
-    given) and the number of forks; no worker is left."""
+    workers from min_frames frames (None: the shipped threshold) and
+    stdin's bytes, if given. Returns _run's observables, the output bytes
+    (None for an out given) and the number of forks; no worker is left."""
     monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", span)
     if min_frames is not None:
         monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", min_frames)
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
-    forks = _forks(monkeypatch)
+    forked = len(_FORKED)
     path = out or tmp_path / f"out-{cpus}.jsonl"
-    seen = _run(["score", "--input", uri, "--out", str(path)], monkeypatch, caplog, capsys, cpus,
-                method=method)
+    seen = _run(["score", "--input", uri, "--out", str(path)], monkeypatch, caplog, capsys, cpus)
     gc.collect()  # an unclosed pipe warns here
-    _reaped(forks)
-    return seen, None if out else path.read_bytes(), len(forks)
+    _no_child()
+    return seen, None if out else path.read_bytes(), len(_FORKED) - forked
 
 
 def _score_synthetic_both_ways(tmp_path, uri, monkeypatch, caplog, capsys, cpus=2, **kwargs):
     """_score_synthetic on one CPU, then on cpus CPUs."""
     return [_score_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, n, **kwargs)
             for n in (1, cpus)]
-
-
-fork_only = pytest.mark.skipif("fork" not in START_METHODS, reason="only Linux forks workers")
 
 
 @fork_only
@@ -875,23 +827,18 @@ def test_a_live_thread_keeps_a_synthetic_script_in_one_process(tmp_path, monkeyp
                                                                capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps(_script((0.1,))))
-    get_context, started = multiprocessing.get_context, []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: started.append(method) or get_context(method))
-    serial = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 1,
-                              method=None)
+    serial = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 1)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert cli._pool_start_method() == "spawn"
-        pooled = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 2,
-                                  method=None)
+        assert cli._may_fork() is False
+        pooled = _score_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys, 2)
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    assert (serial[2], pooled[2], started) == (0, 0, [])
+    assert (serial[2], pooled[2]) == (0, 0)
     assert pooled[:2] == serial[:2]
 
 
@@ -901,14 +848,14 @@ def test_watch_on_a_synthetic_script_stays_in_one_process(tmp_path, monkeypatch,
     script.write_text(json.dumps(_script((0.1,), (30, 30, 30, 30, 30))))
     monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 8)
     monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", 2)
-    forks = _forks(monkeypatch)
+    forked = len(_FORKED)
     runs = []
     for cpus in (1, 2):
         alerts = tmp_path / f"alerts-{cpus}.jsonl"
         code, warnings, err = _main(["watch", "--input", f"synthetic:{script}", "--alerts",
-                                     str(alerts)], monkeypatch, caplog, capsys, cpus, method="fork")
+                                     str(alerts)], monkeypatch, caplog, capsys, cpus)
         runs.append((code, warnings, _untimed(err), alerts.read_bytes()))
-    assert forks == []
+    assert len(_FORKED) == forked
     assert runs[0] == runs[1]
     code, warnings, err, alerts = runs[0]
     assert code == 0 and b'"kind":"raised"' in alerts
