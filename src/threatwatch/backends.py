@@ -171,8 +171,8 @@ _KEYPOINT_CONF = 0.85
 
 
 # Frames per span of the script's output; synthesize's parts are whole
-# spans, and score's forked workers (cli._synthetic_runs) hand the parent
-# one span at a time. On 2 CPUs, score on the benchmark's 60k-frame
+# spans, and the forked workers of score and watch (cli._pool_runs) hand
+# the parent one span at a time. On 2 CPUs, score on the benchmark's 60k-frame
 # synth-score script, 15 alternating runs per size: 256 to 8,192 frames
 # all ran at 113-123k fps in the median, within one another's quartiles,
 # but the peak RSS (wait4, 3 runs) grew with the parent's span buffers:

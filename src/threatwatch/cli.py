@@ -16,20 +16,19 @@ with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
 score and watch each run one loop over one stream of assessed frames
-(_assessed), which comes from one of three places. Worker processes are
+(_assessed), which comes from one of two places. Worker processes are
 used only where this process may fork (Linux, one thread) and use two
 CPUs or more; they are forked here, each with its own pipe (_forked). A
-JSONL file of 2 MiB or more (POOL_MIN_CHUNKS chunks of CHUNK_BYTES) is
-parsed and assessed in min(usable CPUs, chunks) workers: the parent cuts
-the file into byte ranges, and takes back each one's frames in runs cut
-at the bad lines, which go through the backend's bad-line policy between
-the runs; watch forks them before its webhook thread starts. score on a
-synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more forks
-min(usable CPUs, spans) workers, each sending the assessment lines of
-every workers-th span of backends.SYNTH_SPAN_FRAMES frames. Everything
-else, watch on a synthetic: script and every input where this process
-may not fork included, is read and assessed in this process, one record
-at a time. So the output, warnings, counts and errors are the same
+JSONL file of 2 MiB or more (POOL_MIN_CHUNKS chunks of CHUNK_BYTES) or a
+synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more is assessed in
+min(usable CPUs, spans) workers (_pool_runs), each taking every
+workers-th span: a byte range of the file, cut by the parent before the
+fork, or backends.SYNTH_SPAN_FRAMES frames of the script. Each span comes
+back as runs of frames cut at its bad lines, which go through the
+backend's bad-line policy between the runs; watch forks the workers before
+its webhook thread starts. Everything else, every input where this
+process may not fork included, is read and assessed in this process, one
+record at a time. So the output, warnings, counts and errors are the same
 either way.
 """
 
@@ -63,7 +62,8 @@ from .backends import (
 from .errors import ThreatwatchError
 from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
-from .fusion import FusionConfig, assess_frame, assess_span, serialize_assessment, watch_run_frames
+from .fusion import (FusionConfig, assess_frame, assess_records, assess_span, serialize_assessment,
+                     watch_run_frames)
 
 logger = logging.getLogger(__name__)
 
@@ -283,49 +283,52 @@ def _pool_workers(backend: DetectorBackend) -> int:
     return min(cpus, units) if cpus >= 2 else 0
 
 
-def _forked(work: Callable[[int], Iterator[bytes]], spans: int, workers: int, command: str,
-            lost: Callable[[int], str]) -> Iterator[bytes]:
-    """The payloads of spans 0 to spans - 1 in order, made by workers
-    processes forked here. Worker k writes the payloads that work(k) yields,
-    those of spans k, k + workers, ..., to its own pipe, each behind its
-    length, and leaves through os._exit, so it runs none of this process's
-    exit handlers and flushes none of its buffers. The parent reads span
-    j's payload from pipe j % workers; a pipe that ends early means its
-    worker died, which ends the run with one error that names the command
-    and, through lost(j), where the output stopped. When the generator ends
-    or is closed, the pipes are closed, which ends a worker still running
-    at its next write, and every worker is reaped."""
+def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: str,
+            lost: Callable[[int], str]) -> Iterator:
+    """The results of spans 0 to spans - 1 in order, made by workers
+    processes forked here. Worker k pickles the results of work(k), spans
+    k, k + workers, ..., to its own pipe, each behind its length, and
+    leaves through os._exit, so it runs none of this process's exit
+    handlers and flushes none of its buffers. The parent reads span j's
+    result from pipe j % workers; a pipe that ends early means its worker
+    died, which ends the run with one error that names the command and,
+    through lost(j), where the output stopped. When the generator ends or
+    is closed, or a fork fails, the pipes are closed, which ends a worker
+    still running at its next write, and every worker is reaped."""
+    # Imported here, so that one-process runs do not load it.
+    import pickle
+
     pids: list[int] = []
     pipes: list = []
     try:
         for part in range(workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    # No worker holds a read end, so closing the parent's
-                    # ends every worker at its next write.
-                    os.close(read_fd)
-                    for pipe in pipes:
-                        pipe.close()
-                    with open(write_fd, "wb") as out:
-                        for payload in work(part):
+            pipes.append(open(read_fd, "rb"))
+            # The parent's write end closes after the fork, or when it fails.
+            with open(write_fd, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        # No worker holds a read end, so closing the parent's
+                        # ends every worker at its next write.
+                        for pipe in pipes:
+                            pipe.close()
+                        # map: no finished result stays alive beside its pickle.
+                        for payload in map(pickle.dumps, work(part)):
                             out.write(len(payload).to_bytes(8, "little"))
                             out.write(payload)
                             out.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
+                        code = 0
+                    finally:
+                        os._exit(code)
             pids.append(pid)
-            pipes.append(open(read_fd, "rb"))
         for j in range(spans):
             pipe = pipes[j % workers]
             size = int.from_bytes(head := pipe.read(8), "little")
             if len(head) < 8 or len(payload := pipe.read(size)) < size:
                 raise ThreatwatchError(f"a {command} worker process died: {lost(j)}")
-            yield payload
+            yield pickle.loads(payload)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -333,64 +336,46 @@ def _forked(work: Callable[[int], Iterator[bytes]], spans: int, workers: int, co
             os.waitpid(pid, 0)
 
 
-def _replay_runs(backend: backends.ReplayBackend, cfg: FusionConfig, watch: bool, workers: int,
-                 command: str) -> Iterator[tuple]:
+def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers: int,
+               command: str) -> Iterator[tuple]:
     """score's or watch's runs of frames (fusion.assess_span) of backend's
-    file, in input order, assessed by cfg in up to workers forked processes
-    (_forked), one span of CHUNK_BYTES at a time. The parent cuts the file
-    into spans before the fork and hands each worker byte ranges, never
-    lines; a worker sends each span's (runs, bad) as a pickle. The bad line
-    after each run goes to backend.bad_line when the next run is taken, so
-    in line order among the frames the caller takes; a strict backend
-    raises it, which ends the runs and the workers.
+    input, in input order, assessed by cfg in up to workers forked
+    processes (_forked), one span at a time: a byte range of CHUNK_BYTES of
+    a JSONL file, which the parent cuts before the fork, or
+    backends.SYNTH_SPAN_FRAMES frames of a synthetic script, which worker k
+    makes as synthesize's part k. Empty runs are skipped. The bad line after
+    each run goes to backend.bad_line when the next run is taken, so in line
+    order among the frames the caller takes; a strict backend raises it,
+    which ends the runs and the workers.
 
     The workers share the parent's imported modules: on the 10 MB
-    replay-score input, the parent peaks at about 17.9 MB RSS and each of
-    two workers at 17.7 MB, 53 MB together (27.5 MB PSS), against 17.4 MB
-    for one process."""
-    # Only this path needs pickle, so the other runs do not import it.
-    import pickle
+    replay-score input, the parent peaks at about 17.5 MB RSS and each of
+    two workers at 17.0 MB, 51.5 MB together (26.5 MB PSS), against 17.1
+    MB for one process."""
+    if isinstance(backend, backends.SyntheticBackend):
+        script, size = backend.script, backends.SYNTH_SPAN_FRAMES
+        spans = range(0, script.frame_count, size)
+        lost = lambda j: f"its output ended after frame {spans[j]} of {script.frame_count}"
 
-    path = backend.path
-    spans = list(chunk_spans(path, CHUNK_BYTES))
+        def assess(part: int) -> Iterator[tuple]:
+            records = synthesize(script, part=part, parts=workers)
+            for _ in spans[part::workers]:
+                yield assess_records(itertools.islice(records, size), cfg, watch)
+    else:
+        path = backend.path
+        spans = list(chunk_spans(path, CHUNK_BYTES))
+        lost = lambda j: f"its output ended before line {spans[j][2]}"
+
+        def assess(part: int) -> Iterator[tuple]:
+            return (assess_span(cfg, watch, path, *span) for span in spans[part::workers])
     workers = min(workers, len(spans))
-
-    def work(part: int) -> Iterator[bytes]:
-        for span in spans[part::workers]:
-            yield pickle.dumps(assess_span(cfg, watch, path, *span), pickle.HIGHEST_PROTOCOL)
-
-    with contextlib.closing(_forked(work, len(spans), workers, command,
-                                    lambda j: f"its output ended before line {spans[j][2]}")
-                            ) as payloads:
-        for payload in payloads:
-            runs, bad = pickle.loads(payload)
+    with contextlib.closing(_forked(assess, len(spans), workers, command, lost)) as results:
+        for runs, bad in results:
             for run, exc in itertools.zip_longest(runs, bad):
                 if run[1]:
                     yield run
                 if exc is not None:
                     backend.bad_line(exc)
-
-
-def _synthetic_runs(script: backends.ScenarioScript, cfg: FusionConfig, workers: int,
-                    command: str) -> Iterator[tuple[str, int]]:
-    """score's runs of script's frames assessed by cfg, (text, count) per
-    span of SYNTH_SPAN_FRAMES frames in input order, made in workers forked
-    processes (_forked): worker k sends the assessment lines of
-    synthesize's part k, a span at a time, as UTF-8."""
-    span = backends.SYNTH_SPAN_FRAMES
-    total = script.frame_count
-
-    def work(part: int) -> Iterator[bytes]:
-        records = synthesize(script, part=part, parts=workers)
-        lines = (serialize_assessment(assess_frame(record, cfg)) + "\n" for record in records)
-        while text := "".join(itertools.islice(lines, span)):
-            yield text.encode()
-
-    with contextlib.closing(_forked(work, -(-total // span), workers, command,
-                                    lambda j: f"its output ended after frame {j * span} of {total}")
-                            ) as payloads:
-        for first, payload in zip(range(0, total, span), payloads):
-            yield payload.decode(), min(span, total - first)
 
 
 @contextlib.contextmanager
@@ -399,24 +384,16 @@ def _assessed(backend: DetectorBackend, cfg: FusionConfig,
     """backend's frames assessed by cfg, in input order, for watch as
     (stream_id, frame_id, ts_ms, level, score) per frame, for score as
     runs of (text, count), the assessment lines of count frames. A large
-    JSONL file is assessed in forked worker processes (_replay_runs), and
-    so is a long synthetic script for score (_synthetic_runs); anything
-    else here, one record at a time. Read ahead to the first frame, so a
-    missing or bad input fails before the caller creates any output file;
-    a replay's bad lines before it go through backend.bad_line on the way,
-    from either path. The source is closed on exit, which also closes the
-    input file when the output cannot open, and ends and reaps the
-    workers."""
+    JSONL file or a long synthetic script is assessed in forked worker
+    processes (_pool_runs); anything else here, one record at a time.
+    Read ahead to the first frame, so a missing or bad input fails before
+    the caller creates any output file; a replay's bad lines before it go
+    through backend.bad_line on the way, from either path. The source is
+    closed on exit, which also closes the input file when the output
+    cannot open, and ends and reaps the workers."""
     watch = command == "watch"
-    synthetic = isinstance(backend, backends.SyntheticBackend)
-    # watch's frames are tuples, which the synthetic workers do not make.
-    workers = 0 if watch and synthetic else _pool_workers(backend)
-    if workers and synthetic:
-        source = _synthetic_runs(backend.script, cfg, workers, command)
-    elif workers:
-        source = _replay_runs(backend, cfg, watch, workers, command)
-    else:
-        source = backend.frames()
+    workers = _pool_workers(backend)
+    source = _pool_runs(backend, cfg, watch, workers, command) if workers else backend.frames()
     try:
         if workers and watch:
             assessed = itertools.chain.from_iterable(

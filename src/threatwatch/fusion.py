@@ -25,7 +25,8 @@ in any order. assess_span does so for the worker processes of `score` and
 line's fields with no FrameRecord or ThreatAssessment built (_assess_line),
 into runs of frames cut at its bad lines, which it hands back for the
 caller to skip or raise, and imports nothing beyond this module, frames
-and errors.
+and errors. assess_records packs one span of FrameRecords, a synthetic:
+script's, into the same runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
@@ -438,8 +439,20 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
     assess = functools.partial(_assess_line, cfg=cfg, watch=watch)
     for frame in parse_lines(read_span(path, offset, nbytes), first_line_no, assess, cut):
         frames.append(frame)
+    return _packed(runs, watch), bad
+
+
+def assess_records(records: Iterable[FrameRecord], cfg: FusionConfig, watch: bool) -> tuple:
+    """assess_span's (runs, bad) for one span of records: one run, no bad lines."""
+    run = [(r.stream_id, r.frame_id, r.ts_ms, a.level, a.score) if watch else serialize_assessment(a)
+           for r in records for a in (assess_frame(r, cfg),)]
+    return _packed([run], watch), []
+
+
+def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:
+    """assess_span's runs of score lines or watch frames, packed."""
     if not watch:
-        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs], bad
+        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
     # Imported here, so that one-process runs do not load it.
     from array import array
 
@@ -449,7 +462,7 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
         # frame_id and ts_ms are uint64 (frames._stamp_error).
         packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
                         array("d", scores)), len(run)))
-    return packed, bad
+    return packed
 
 
 # The levels by value, as a packed watch run carries them.

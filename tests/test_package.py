@@ -91,18 +91,21 @@ def test_fusion_loads_only_frames_and_errors_of_the_package():
     assert done.stdout == f"{loaded}\n"
 
 
-# Runs score, then watch, on a file that takes the forked workers, then
-# prints the forks made and which executor modules are loaded.
+# Runs score, then watch, on a file and on a synthetic: script that take
+# the forked workers, then prints the forks made and which executor modules
+# are loaded.
 _WORKERS = """\
 import os, sys
-from threatwatch import cli
+from threatwatch import backends, cli
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(None))
 cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS = 100, 2
+backends.SYNTH_SPAN_FRAMES, cli.SYNTH_POOL_MIN_FRAMES = 8, 2
 os.sched_getaffinity = lambda pid: {0, 1}
-path, out = sys.argv[1:]
-for argv in (["score", "--out"], ["watch", "--alerts"]):
-    assert cli.main([argv[0], "--input", path, argv[1], out]) == 0
+*inputs, out = sys.argv[1:]
+for source in inputs:
+    for argv in (["score", "--out"], ["watch", "--alerts"]):
+        assert cli.main([argv[0], "--input", source, argv[1], out]) == 0
 print(len(forks), [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
 """
 
@@ -112,11 +115,14 @@ def test_worker_runs_load_no_executor(tmp_path):
     frames = tmp_path / "frames.jsonl"
     frames.write_text("".join(f'{{"stream_id":"c","frame_id":{i},"ts_ms":{33 * i}}}\n'
                               for i in range(1, 40)))
-    done = subprocess.run([sys.executable, "-c", _WORKERS, str(frames), os.devnull],
+    script = tmp_path / "script.json"
+    script.write_text('{"segments":[{"scene":"knife_grasped","duration_frames":40}]}')
+    done = subprocess.run([sys.executable, "-c", _WORKERS, str(frames), f"synthetic:{script}",
+                           os.devnull],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "4 []\n"
+    assert done.stdout == "8 []\n"
 
 
 def test_webhook_posts_without_urllib_request():

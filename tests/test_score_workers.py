@@ -1,5 +1,5 @@
 """score and watch on forked worker processes, for a large JSONL file and
-for score on a synthetic: script: the same bytes, warnings, counts and
+for a synthetic: script: the same bytes, warnings, counts and
 exit codes as in one process, bounded workers and spans in flight, a
 bounded failure when a worker dies, no fork while a thread runs, and no
 worker left behind.
@@ -13,6 +13,7 @@ os.sched_getaffinity, which is added where the platform lacks it
 process, and the tests that need a fork are skipped.
 """
 
+import errno
 import gc
 import http.server
 import importlib.util
@@ -30,7 +31,7 @@ import time
 
 import pytest
 
-from threatwatch import backends, cli
+from threatwatch import backends, cli, fusion
 from threatwatch.backends import Scene, open_backend
 from threatwatch.cli import main
 from threatwatch.frames import chunk_spans
@@ -392,8 +393,8 @@ def test_cpu_count_stands_in_where_affinity_is_unknown(tmp_path, monkeypatch, ca
 
 
 # Runs the command in the arguments after its first two: with CPUS usable
-# CPUs, 100-byte chunks, a threshold of 2 chunks and, for ACTION "die",
-# JSONL workers that exit at once. It writes "head" to stdout, unflushed,
+# CPUs, 100-byte chunks, a threshold of 2 chunks, 8-frame synthetic spans
+# from 2 frames and, for ACTION "die", JSONL workers that exit at once. It writes "head" to stdout, unflushed,
 # before running, and ends by printing on stderr the number of threads at
 # each fork, whether a child is left and, for ACTION "ssl", whether ssl was
 # loaded.
@@ -402,7 +403,7 @@ import os
 import sys
 import threading
 
-from threatwatch import cli
+from threatwatch import backends, cli
 
 
 def die(*args):
@@ -416,6 +417,8 @@ forks = []
 os.register_at_fork(before=lambda count=threading.active_count: forks.append(count()))
 cli.CHUNK_BYTES = 100
 cli.POOL_MIN_CHUNKS = 2
+backends.SYNTH_SPAN_FRAMES = 8
+cli.SYNTH_POOL_MIN_FRAMES = 2
 os.sched_getaffinity = lambda pid: set(range(int(cpus)))
 sys.stdout.write("head\\n")
 code = cli.main(argv)
@@ -451,6 +454,30 @@ def test_worker_death_exits_1_without_hanging(tmp_path):
         assert done.stderr.decode().splitlines() == [
             f"error: a {command} worker process died: its output ended before line 1",
             "threads at each fork: [1, 1]", "no child is left"]
+
+
+@fork_only
+def test_a_failed_fork_leaks_no_pipe_and_leaves_no_child(tmp_path, monkeypatch, caplog, capsys):
+    # The second fork fails after the first worker has started.
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(b"".join(_line(i) + b"\n" for i in range(1, 50)))
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    code, warnings, err = _main(["score", "--input", str(frames), "--out",
+                                 str(tmp_path / "out.jsonl")], monkeypatch, caplog, capsys, 2,
+                                300)
+    assert (code, warnings, len(forks)) == (2, [], 2)
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    _no_child()
 
 
 @fork_only
@@ -610,25 +637,32 @@ def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog,
 
 def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplog):
     # The frames watch feeds its alert tracker, not only the bytes it
-    # writes: an int level from the workers would serialize alike.
+    # writes: an int level from the workers would serialize alike. Both
+    # inputs' workers send the same columns.
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams() + HOSTILE)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1, 0.0))))
     monkeypatch.setattr(cli, "CHUNK_BYTES", 300)
     monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
-    seen = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
-                            raising=False)
-        backend = open_backend(f"jsonl:{frames}", False)
-        assert bool(cli._pool_workers(backend)) == (cpus == 2 and LINUX)
-        with caplog.at_level(logging.WARNING), cli._assessed(backend, FusionConfig(),
-                                                            "watch") as assessed:
-            seen.append(list(assessed))
-    serial, pooled = seen
-    assert len(serial) == 132  # stale frames included: the tracker drops them
-    assert pooled == serial
-    assert [tuple(map(type, frame)) for frame in serial + pooled] == (
-        [(str, int, int, ThreatLevel, float)] * 2 * len(serial))
+    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 8)
+    monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", 2)
+    # stale frames included: the tracker drops them
+    for uri, count in ((f"jsonl:{frames}", 132), (f"synthetic:{script}", 47)):
+        seen = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            backend = open_backend(uri, False)
+            assert bool(cli._pool_workers(backend)) == (cpus == 2 and LINUX)
+            with caplog.at_level(logging.WARNING), cli._assessed(backend, FusionConfig(),
+                                                                "watch") as assessed:
+                seen.append(list(assessed))
+        serial, pooled = seen
+        assert len(serial) == count
+        assert pooled == serial
+        assert [tuple(map(type, frame)) for frame in serial + pooled] == (
+            [(str, int, int, ThreatLevel, float)] * 2 * len(serial))
     _no_child()
 
 
@@ -729,13 +763,16 @@ def test_watch_webhook_from_the_pool_matches_one_process(tmp_path, receiver):
 def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, receiver):
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams())
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,), (30, 30, 30, 30, 30))))
     url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
-    done = _run_script(tmp_path, 2, "forks", "watch", "--input", str(frames),
-                       "--alerts", os.devnull, "--webhook", url)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.decode().splitlines()[-3:] == [
-        "webhook: delivered=17 failed=0 dropped=0", "threads at each fork: [1, 1]",
-        "no child is left"]
+    for source, events in ((str(frames), 17), (f"synthetic:{script}", 3)):
+        done = _run_script(tmp_path, 2, "forks", "watch", "--input", source,
+                           "--alerts", os.devnull, "--webhook", url)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.decode().splitlines()[-3:] == [
+            f"webhook: delivered={events} failed=0 dropped=0", "threads at each fork: [1, 1]",
+            "no child is left"]
 
 
 def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
@@ -842,20 +879,32 @@ def test_a_live_thread_keeps_a_synthetic_script_in_one_process(tmp_path, monkeyp
     assert pooled[:2] == serial[:2]
 
 
-@fork_only
-def test_watch_on_a_synthetic_script_stays_in_one_process(tmp_path, monkeypatch, caplog, capsys):
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(_script((0.1,), (30, 30, 30, 30, 30))))
-    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", 8)
-    monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", 2)
-    forked = len(_FORKED)
-    runs = []
+def _watch_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, span=8, min_frames=2):
+    """watch uri on one CPU, then on two, with spans of span frames and the
+    synthetic workers from min_frames frames (None: the shipped threshold).
+    Returns each run's exit code, warnings, stderr lines without timings
+    and alerts bytes, and the forks of each run; no worker is left."""
+    monkeypatch.setattr(backends, "SYNTH_SPAN_FRAMES", span)
+    if min_frames is not None:
+        monkeypatch.setattr(cli, "SYNTH_POOL_MIN_FRAMES", min_frames)
+    runs, forks = [], []
     for cpus in (1, 2):
         alerts = tmp_path / f"alerts-{cpus}.jsonl"
-        code, warnings, err = _main(["watch", "--input", f"synthetic:{script}", "--alerts",
-                                     str(alerts)], monkeypatch, caplog, capsys, cpus)
+        forked = len(_FORKED)
+        code, warnings, err = _main(["watch", "--input", uri, "--alerts", str(alerts)],
+                                    monkeypatch, caplog, capsys, cpus)
+        forks.append(len(_FORKED) - forked)
         runs.append((code, warnings, _untimed(err), alerts.read_bytes()))
-    assert len(_FORKED) == forked
+        _no_child()
+    return runs, forks
+
+
+@fork_only
+def test_watch_on_a_synthetic_script_matches_one_process(tmp_path, monkeypatch, caplog, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,), (30, 30, 30, 30, 30))))
+    runs, forks = _watch_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys)
+    assert forks == [0, 2]
     assert runs[0] == runs[1]
     code, warnings, err, alerts = runs[0]
     assert code == 0 and b'"kind":"raised"' in alerts
@@ -863,18 +912,36 @@ def test_watch_on_a_synthetic_script_stays_in_one_process(tmp_path, monkeypatch,
 
 
 @fork_only
-def test_synthetic_worker_death_exits_1_and_reaps_every_worker(tmp_path, monkeypatch, caplog,
-                                                               capsys):
-    # Worker 0 of 2 dies in its second span (frames 17-24), after writing
-    # its first.
-    parent, assess = os.getpid(), cli.assess_frame
+def test_watch_on_the_seed0_synth_score_script_matches_one_process(tmp_path, monkeypatch, caplog,
+                                                                    capsys):
+    # the shipped span size and threshold
+    workload = _load_workloads().generate("synth-score", 0, tmp_path / "in")
+    runs, forks = _watch_synthetic(tmp_path, workload.input_uri, monkeypatch, caplog, capsys,
+                                   span=backends.SYNTH_SPAN_FRAMES, min_frames=None)
+    assert forks == [0, 2]
+    assert runs[0] == runs[1]
+    code, warnings, err, alerts = runs[0]
+    assert code == 0 and warnings == [] and b'"kind":"raised"' in alerts
+    assert err[0].startswith(f"summary: frames={len(workload.truth.frames)} skipped=0 ")
+
+
+def _die_at_frame_20(monkeypatch):
+    """Worker 0 of 2 dies in its second span of 8 frames (frames 17-24),
+    after writing its first."""
+    parent, assess = os.getpid(), fusion.assess_frame
 
     def dying(record, cfg):
         if record.frame_id == 20 and os.getpid() != parent:
             os._exit(1)
         return assess(record, cfg)
 
-    monkeypatch.setattr(cli, "assess_frame", dying)
+    monkeypatch.setattr(fusion, "assess_frame", dying)
+
+
+@fork_only
+def test_synthetic_worker_death_exits_1_and_reaps_every_worker(tmp_path, monkeypatch, caplog,
+                                                               capsys):
+    _die_at_frame_20(monkeypatch)
     script = tmp_path / "script.json"
     script.write_text(json.dumps(_script((0.1,))))
     (code, summary, warnings, errors), out, forks = _score_synthetic(
@@ -883,6 +950,19 @@ def test_synthetic_worker_death_exits_1_and_reaps_every_worker(tmp_path, monkeyp
     assert errors == ["error: a score worker process died: its output ended after frame 16 "
                       "of 47"]
     assert [json.loads(line)["frame_id"] for line in out.splitlines()] == list(range(1, 17))
+
+
+@fork_only
+def test_synthetic_watch_worker_death_exits_1_and_reaps_every_worker(tmp_path, monkeypatch,
+                                                                     caplog, capsys):
+    _die_at_frame_20(monkeypatch)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1,))))
+    runs, forks = _watch_synthetic(tmp_path, f"synthetic:{script}", monkeypatch, caplog, capsys)
+    assert forks == [0, 2]
+    code, warnings, err, _ = runs[1]
+    assert (code, warnings) == (1, [])
+    assert err == ["error: a watch worker process died: its output ended after frame 16 of 47"]
 
 
 @fork_only
