@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ThreatwatchError
+from .frames import _trusted
 from .fusion import _LEVEL_JSON, ThreatAssessment, ThreatLevel, _json_str
 
 logger = logging.getLogger(__name__)
@@ -110,6 +111,11 @@ def serialize_alert_event(event: AlertEvent) -> str:
     )
 
 
+# AlertState has no invariant to check: the machine's own transitions
+# build it through this, with every field given.
+_new_state = _trusted(AlertState)
+
+
 def new_state(stream_id: str) -> AlertState:
     return AlertState(stream_id=stream_id)
 
@@ -157,15 +163,15 @@ def _advance(state: AlertState, frame_id: int, ts_ms: int, level: ThreatLevel, s
     alert_id = state.active_alert_id
     if alert_id is None:
         if consecutive_hot < cfg.n_raise:
-            return AlertState(stream_id, consecutive_hot, consecutive_cold, None, False,
+            return _new_state(stream_id, consecutive_hot, consecutive_cold, None, False,
                               ThreatLevel.NONE, 0.0, frame_id, ts_ms), None
         alert_id = f"{stream_id}:{frame_id}"
-        return (AlertState(stream_id, consecutive_hot, 0, alert_id, False, level, score,
+        return (_new_state(stream_id, consecutive_hot, 0, alert_id, False, level, score,
                            frame_id, ts_ms),
                 AlertEvent(stream_id, alert_id, AlertKind.RAISED, frame_id, ts_ms, level, score))
 
     escalate = not state.escalated and level is ThreatLevel.OVERHAND_THREAT
-    advanced = AlertState(
+    advanced = _new_state(
         stream_id, consecutive_hot, consecutive_cold, alert_id, state.escalated or escalate,
         level if level > state.peak_level else state.peak_level,
         score if score > state.peak_score else state.peak_score,
@@ -189,7 +195,7 @@ def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]
         event = AlertEvent(state.stream_id, state.active_alert_id, AlertKind.CLEARED,
                            state.last_frame_id if state.last_frame_id is not None else 0,
                            ts_ms, state.peak_level, state.peak_score)
-    return AlertState(state.stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0,
+    return _new_state(state.stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0,
                       state.last_frame_id, ts_ms), event
 
 

@@ -191,25 +191,75 @@ def synthesize(script: ScenarioScript, seed: int | None = None, part: int = 0,
     part and parts split the output into spans of SYNTH_SPAN_FRAMES frames
     and keep spans part, part + parts, ...: every other span's draws are
     made and discarded, so each frame is the one the whole run makes, and
-    the parts' spans taken in turn are the whole run.
+    the parts' spans taken in turn are the whole run. The records of a
+    segment share its scores, boxes and keypoints.
     """
+    return _walk(script, seed, part, parts, _RECORDS)
+
+
+def _synthesize_fields(script: ScenarioScript, seed: int | None = None, part: int = 0,
+                       parts: int = 1) -> Iterator[tuple]:
+    """synthesize's frames as the fields that frames._frame_fields gives
+    for each one's JSONL line, (stream_id, frame_id, ts_ms, scores,
+    detections, keypoints), with no record built: what the worker
+    processes of score and watch assess."""
+    return _walk(script, seed, part, parts, _FIELDS)
+
+
+def _record_parts(scene: Scene) -> tuple:
+    """The parts that the records of a segment of scene share: its
+    ClassScores, (label, box, mask_area) per detection, hand first (the
+    order in which each frame draws its confidences), and its keypoints.
+    Every value is valid by construction (a mask covers 0.6 of its box,
+    and a confidence lies in [0.90, 1.0) because noise <= 0.1), so the
+    frames skip the constructors' checks."""
+    templates = [
+        (label, box, box.w * box.h * 0.6)
+        for label, box in ((Label.HAND, _HAND_BOXES.get(scene)), (Label.KNIFE, _KNIFE_BOXES.get(scene)))
+        if box is not None
+    ]
+    wrist = _WRISTS.get(scene)
+    keypoints = () if wrist is None else (PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF),)
+    return ClassScores(*_SCENE_SCORES[scene]), templates, keypoints
+
+
+def _field_parts(scene: Scene) -> tuple:
+    """_record_parts as fields: the scores as (threat, no_threat, hand),
+    each box as (x, y, w, h) and each keypoint as (name, x, y, conf)."""
+    _, templates, keypoints = _record_parts(scene)
+    return (_SCENE_SCORES[scene],
+            [(label, (box.x, box.y, box.w, box.h), mask_area) for label, box, mask_area in templates],
+            tuple([(kp.name, kp.x, kp.y, kp.conf) for kp in keypoints]))
+
+
+def _field_detection(label: Label, box: tuple, conf: float, mask_area: float) -> tuple:
+    """A detection's fields, (label, x, y, w, h, conf, mask_area)."""
+    return (label, *box, conf, mask_area)
+
+
+def _fields(*fields: object) -> tuple:
+    """A frame's fields, as given."""
+    return fields
+
+
+# How the walk builds a frame: a segment's shared parts, then per frame
+# each detection and the frame itself.
+_RECORDS = (_record_parts, _new_detection, _new_record)
+_FIELDS = (_field_parts, _field_detection, _fields)
+
+
+def _walk(script: ScenarioScript, seed: int | None, part: int, parts: int,
+          form: tuple) -> Iterator:
+    """The one walk of synthesize, its frames built in form, _RECORDS or
+    _FIELDS."""
+    segment_parts, detection, frame = form
     draw = random.Random(script.seed if seed is None else seed).random
     stream_id = script.stream_id
     span = SYNTH_SPAN_FRAMES
     last = 0
     for segment in script.segments:
-        scene = segment.scene
         noise = segment.noise
-        scores = ClassScores(*_SCENE_SCORES[scene])
-        # (label, box, mask_area) per detection, hand first: the order in
-        # which each frame draws its confidences.
-        templates = [
-            (label, box, box.w * box.h * 0.6)
-            for label, box in ((Label.HAND, _HAND_BOXES.get(scene)), (Label.KNIFE, _KNIFE_BOXES.get(scene)))
-            if box is not None
-        ]
-        wrist = _WRISTS.get(scene)
-        keypoints = () if wrist is None else (PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF),)
+        scores, templates, keypoints = segment_parts(segment.scene)
         first = last + 1
         last += segment.duration_frames
         # The segment's frames, cut at the span edges.
@@ -217,14 +267,10 @@ def synthesize(script: ScenarioScript, seed: int | None = None, part: int = 0,
             end = min(last, (first - 1) // span * span + span)
             if (first - 1) // span % parts == part:
                 for fid in range(first, end + 1):
-                    # Every value below is valid by construction (conf lies
-                    # in [0.90, 1.0) because noise <= 0.1, a mask covers 0.6
-                    # of its box), so the records skip the constructors'
-                    # checks.
-                    detections = tuple([_new_detection(label, box, 0.90 + draw() * noise, mask_area)
-                                        for label, box, mask_area in templates])
-                    yield _new_record(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores, detections,
-                                      keypoints)
+                    yield frame(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores,
+                                tuple([detection(label, box, 0.90 + draw() * noise, mask_area)
+                                       for label, box, mask_area in templates]),
+                                keypoints)
             else:
                 for _ in range(len(templates) * (end - first + 1)):
                     draw()

@@ -62,7 +62,7 @@ from .backends import (
 from .errors import ThreatwatchError
 from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
                      serialize_frame_record, validate_manifest)
-from .fusion import (FusionConfig, assess_frame, assess_records, assess_span, serialize_assessment,
+from .fusion import (FusionConfig, assess_fields, assess_frame, assess_span, serialize_assessment,
                      watch_run_frames)
 
 logger = logging.getLogger(__name__)
@@ -343,10 +343,13 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
     processes (_forked), one span at a time: a byte range of CHUNK_BYTES of
     a JSONL file, which the parent cuts before the fork, or
     backends.SYNTH_SPAN_FRAMES frames of a synthetic script, which worker k
-    makes as synthesize's part k. Empty runs are skipped. The bad line after
-    each run goes to backend.bad_line when the next run is taken, so in line
-    order among the frames the caller takes; a strict backend raises it,
-    which ends the runs and the workers.
+    makes as synthesize's part k. Either way a worker assesses each frame
+    from its fields and builds no FrameRecord or ThreatAssessment: a JSONL
+    line's fields as the parser checks them, a script's frames made as
+    fields (backends._synthesize_fields). Empty runs are skipped. The bad
+    line after each run goes to backend.bad_line when the next run is
+    taken, so in line order among the frames the caller takes; a strict
+    backend raises it, which ends the runs and the workers.
 
     The workers share the parent's imported modules: on the 10 MB
     replay-score input, the parent peaks at about 17.5 MB RSS and each of
@@ -358,9 +361,9 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
         lost = lambda j: f"its output ended after frame {spans[j]} of {script.frame_count}"
 
         def assess(part: int) -> Iterator[tuple]:
-            records = synthesize(script, part=part, parts=workers)
+            frames = backends._synthesize_fields(script, part=part, parts=workers)
             for _ in spans[part::workers]:
-                yield assess_records(itertools.islice(records, size), cfg, watch)
+                yield assess_fields(itertools.islice(frames, size), cfg, watch)
     else:
         path = backend.path
         spans = list(chunk_spans(path, CHUNK_BYTES))

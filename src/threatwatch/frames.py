@@ -421,7 +421,21 @@ def _utf8(data: bytes, line_no: int) -> str:
         raise MalformedJson(line_no, str(e)) from None
 
 
+# The scanner that json.loads runs (C in CPython), called with no wrapper.
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
 def _json(text: str, line_no: int) -> object:
+    """text as one JSON value, what json.loads(text) returns; MalformedJson
+    with json.loads's message when it raises."""
+    try:
+        value, end = _scan_once(text, 0)
+        if not text[end:].strip(" \t\n\r"):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        # StopIteration: no value at the start, leading whitespace included.
+        pass
+    # json.loads skips leading whitespace, and words each fault.
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -542,12 +556,15 @@ def _detection(obj: object) -> tuple:
     mask_area = get("mask_area")
     if mask_area is not None and type(mask_area) is not float:
         mask_area = _number(mask_area, ".mask_area")
-    error = _box_error(x, y, w, h)
-    if error is not None:
-        raise _Invalid(".box", error)
-    error = _detection_error(conf, mask_area, w, h)
-    if error is not None:
-        raise _Invalid("", error)
+    # _box_error and _detection_error in one chain, false for NaN as they
+    # are; they word the first fault when it fails.
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 < w <= 1.0 and 0.0 < h <= 1.0
+            and x + w <= 1.0 + EDGE_TOL and y + h <= 1.0 + EDGE_TOL and 0.0 <= conf <= 1.0
+            and (mask_area is None or 0.0 < mask_area <= 1.0 and mask_area <= w * h + 1e-6)):
+        error = _box_error(x, y, w, h)
+        if error is not None:
+            raise _Invalid(".box", error)
+        raise _Invalid("", _detection_error(conf, mask_area, w, h))
     return label, x, y, w, h, conf, mask_area
 
 

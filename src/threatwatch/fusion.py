@@ -16,17 +16,18 @@ Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. One body, _fuse, holds the level,
 score and evidence rules. It reads the qualifying hands and knives as
 (index, conf, cx, cy) and the keypoints as (name, x, y, conf), so it
-takes a FrameRecord (assess_frame) and a JSONL line's validated fields
+takes a FrameRecord (assess_frame) and a frame's validated fields
 (frames._frame_fields) alike.
 
 Everything here is pure and stateless; frames can be assessed in parallel
-in any order. assess_span does so for the worker processes of `score` and
-`watch`: it assesses one span of a JSONL file, line by line from each
-line's fields with no FrameRecord or ThreatAssessment built (_assess_line),
-into runs of frames cut at its bad lines, which it hands back for the
-caller to skip or raise, and imports nothing beyond this module, frames
-and errors. assess_records packs one span of FrameRecords, a synthetic:
-script's, into the same runs.
+in any order. The worker processes of `score` and `watch` assess each
+frame from its fields with no FrameRecord or ThreatAssessment built, one
+body for both inputs (_assess_fields). assess_span assesses one span of a
+JSONL file, line by line (_assess_line), into runs of frames cut at its
+bad lines, which it hands back for the caller to skip or raise;
+assess_fields packs one span of a synthetic: script's frames, made as
+fields (backends._synthesize_fields), into the same runs. Neither imports
+anything beyond this module, frames and errors.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def _fuse(hands: list[_Qualified], knives: list[_Qualified],
     """assess_frame's (level, score, evidence) of a frame with the given
     qualifying hands and knives, scores (threat, no_threat, hand) or None,
     and keypoints: the one fusion body, which both a FrameRecord
-    (assess_frame) and a line's fields (_assess_line) go through."""
+    (assess_frame) and a frame's fields (_assess_fields) go through."""
     edges = _candidate_edges(hands, knives, cfg) if hands and knives else ()
     if edges:
         # Every edge set yields at least one pair: GRASPED or above.
@@ -386,15 +387,13 @@ def _assessment_line(stream_id: str, frame_id: int, level: ThreatLevel, score: f
     )
 
 
-def _assess_line(line: str, line_no: int, cfg: FusionConfig, watch: bool) -> str | tuple:
-    """What a worker makes of one JSONL frame line numbered line_no, from
-    its validated fields (frames._frame_fields) with no record built: for
-    score, serialize_assessment(assess_frame(parse_frame_record(line,
-    line_no), cfg)); for watch, the frame (stream_id, frame_id, ts_ms,
-    level, score) of that assessment. Raises what parse_frame_record
-    raises."""
-    stream_id, frame_id, ts_ms, scores, detections, keypoints = _parse_line(line, line_no,
-                                                                            _frame_fields)
+def _assess_fields(frame: tuple, cfg: FusionConfig, watch: bool) -> str | tuple:
+    """What a worker makes of one frame given as its validated fields
+    (frames._frame_fields), with no record built: for score,
+    serialize_assessment(assess_frame(record, cfg)) of the record with
+    those fields; for watch, the frame (stream_id, frame_id, ts_ms, level,
+    score) of that assessment."""
+    stream_id, frame_id, ts_ms, scores, detections, keypoints = frame
     hands: list[_Qualified] = []
     knives: list[_Qualified] = []
     tau = cfg.tau_det
@@ -407,6 +406,12 @@ def _assess_line(line: str, line_no: int, cfg: FusionConfig, watch: bool) -> str
     return _assessment_line(stream_id, frame_id, level, score, evidence)
 
 
+def _assess_line(line: str, line_no: int, cfg: FusionConfig, watch: bool) -> str | tuple:
+    """_assess_fields of one JSONL frame line numbered line_no. Raises
+    what parse_frame_record raises."""
+    return _assess_fields(_parse_line(line, line_no, _frame_fields), cfg, watch)
+
+
 def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
                 first_line_no: int
                 ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
@@ -415,7 +420,7 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
     False) or watch does in one process, but from each line's validated
     fields: _assess_line builds no FrameRecord and no ThreatAssessment,
     and serializes the score line or makes the watch frame straight from
-    the fields.
+    the fields (_assess_fields).
 
     Returns (runs, bad): the span's frames cut at each bad line, len(bad)
     + 1 runs, each as (frames, count); and those lines' exceptions, in
@@ -442,11 +447,11 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
     return _packed(runs, watch), bad
 
 
-def assess_records(records: Iterable[FrameRecord], cfg: FusionConfig, watch: bool) -> tuple:
-    """assess_span's (runs, bad) for one span of records: one run, no bad lines."""
-    run = [(r.stream_id, r.frame_id, r.ts_ms, a.level, a.score) if watch else serialize_assessment(a)
-           for r in records for a in (assess_frame(r, cfg),)]
-    return _packed([run], watch), []
+def assess_fields(frames: Iterable[tuple], cfg: FusionConfig, watch: bool) -> tuple:
+    """assess_span's (runs, bad) for one span of frames given as their
+    fields (_assess_fields), a synthetic: script's: one run, no bad
+    lines."""
+    return _packed([[_assess_fields(frame, cfg, watch) for frame in frames]], watch), []
 
 
 def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:

@@ -26,10 +26,12 @@ from threatwatch.backends import (
 )
 from threatwatch.frames import (
     MalformedJson,
+    _frame_fields,
     parse_frame_record,
     serialize_frame_record,
 )
-from threatwatch.fusion import FusionConfig, ThreatLevel, assess_frame
+from threatwatch.fusion import (FusionConfig, ThreatLevel, _assess_fields, assess_frame,
+                                serialize_assessment)
 
 CFG = FusionConfig()
 
@@ -97,6 +99,28 @@ def test_parts_taken_span_by_span_are_the_whole_run(segments, script_seed, seed,
             interleaved += [next(part) for _ in range(min(span, len(whole) - first))]
         assert all(next(part, None) is None for part in pieces)
     assert interleaved == whole
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=_segments, script_seed=st.integers(0, 2**32), seed=st.none() | st.integers(0, 99),
+       parts=st.integers(1, 4), span=st.integers(1, 50), tau_det=st.floats(0.90, 1.0))
+def test_the_workers_fields_are_the_records_field_for_field(segments, script_seed, seed, parts,
+                                                            span, tau_det):
+    # At tau_det above 0.90 some jittered confidences fail to qualify.
+    s = script(*segments, seed=script_seed)
+    cfg = FusionConfig(tau_det=tau_det)
+    with mock.patch.object(backends, "SYNTH_SPAN_FRAMES", span):
+        for part in range(parts):
+            records = list(synthesize(s, seed, part, parts))
+            frames = list(backends._synthesize_fields(s, seed, part, parts))
+            # Each frame's fields are what the parser gives for its record's line.
+            assert frames == [_frame_fields(json.loads(serialize_frame_record(r))) for r in records]
+            for record, frame in zip(records, frames):
+                assessment = assess_frame(record, cfg)
+                assert _assess_fields(frame, cfg, False) == serialize_assessment(assessment)
+                assert _assess_fields(frame, cfg, True) == (
+                    record.stream_id, record.frame_id, record.ts_ms, assessment.level,
+                    assessment.score)
 
 
 def test_noise_jitters_confidence_within_bounds():

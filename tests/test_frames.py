@@ -614,6 +614,8 @@ def test_parse_fuzz_mutated_records(record, data):
         else:
             container[key] = data.draw(_hostile)
     line = json.dumps(record)
+    _parses_as_json_loads(line)
+    _parses_as_json_loads(line + "\n")
     try:
         parsed = parse_frame_record(line)
     except (MalformedJson, SchemaViolation) as exc:
@@ -637,6 +639,67 @@ def test_parse_fuzz_mutated_records(record, data):
         if part is not None:
             with pytest.raises(FrozenInstanceError):
                 setattr(part, type(part).__slots__[0], None)
+
+
+def _parses_as_json_loads(text):
+    """frames._json(text) returns what json.loads(text) returns, or raises
+    MalformedJson with its message."""
+    try:
+        expected = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(MalformedJson) as raised:
+            frames._json(text, 7)
+        assert str(raised.value) == f"line 7: malformed JSON: {exc}"
+    else:
+        value = frames._json(text, 7)
+        # repr, as NaN is not equal to itself
+        assert type(value) is type(expected) and repr(value) == repr(expected)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2.5, null, true]}', '{"a": 1}\n', '{"a": 1} \t\r\n', "\ufeff{}", " \t{}",
+    "\n[1]", "{}x", "{} x", "[1] [2]", '{"a": 1}\u2028', "\x0c{}", "", " ", "nul", '{"a": 1,}',
+    "NaN", '{"a": NaN, "b": -Infinity}', '"\\ud800"', "[" * 100_000 + "]" * 100_000,
+    "[" * 100_000, "1" * 5_000, '{"a": ' + "9" * 5_000 + "}", "-0.0", "1e999",
+], ids=["object", "lf", "trailing_ws", "bom", "leading_ws", "leading_lf", "extra", "extra_after_ws",
+        "two_values", "trailing_unicode_space", "leading_form_feed", "empty", "blank", "bad_literal",
+        "trailing_comma", "nan", "nan_in_object", "lone_surrogate", "deep", "deep_unclosed",
+        "long_int", "long_int_in_object", "negative_zero", "huge_float"])
+def test_json_returns_or_words_what_json_loads_does(text):
+    _parses_as_json_loads(text)
+
+
+_GOOD_DETECTION = {"label": "knife", "box": [0.2, 0.3, 0.1, 0.1], "conf": 0.95, "mask_area": 0.005}
+
+
+@pytest.mark.parametrize("change, where, message", [
+    ({"box": [1.5, 0.3, 0.1, 0.1]}, ".box", "x must be within [0, 1], got 1.5"),
+    ({"box": [0.2, -0.1, 0.1, 0.1]}, ".box", "y must be within [0, 1], got -0.1"),
+    ({"box": [0.2, 0.3, 0.0, 0.1]}, ".box", "w must be within (0, 1], got 0.0"),
+    ({"box": [0.2, 0.3, 0.1, 1.5]}, ".box", "h must be within (0, 1], got 1.5"),
+    ({"box": [0.75, 0.3, 0.5, 0.1]}, ".box", "box exceeds right edge: x + w = 1.25"),
+    ({"box": [0.2, 0.75, 0.1, 0.5]}, ".box", "box exceeds bottom edge: y + h = 1.25"),
+    ({"box": [float("nan"), 0.3, 0.1, 0.1]}, ".box", "x must be within [0, 1], got nan"),
+    ({"conf": 1.25}, "", "conf must be within [0, 1], got 1.25"),
+    ({"conf": float("nan")}, "", "conf must be within [0, 1], got nan"),
+    ({"mask_area": 0.0}, "", "mask_area must be within (0, 1], got 0.0"),
+    ({"mask_area": 0.5}, "", "mask_area 0.5 exceeds box area 0.010000000000000002"),
+    ({"box": [1.5, 0.3, 0.1, 0.1], "conf": 1.25}, ".box", "x must be within [0, 1], got 1.5"),
+    ({"conf": 2.0, "mask_area": 0.5}, "", "conf must be within [0, 1], got 2.0"),
+], ids=["x", "y", "w", "h", "right_edge", "bottom_edge", "nan_x", "conf", "nan_conf",
+        "mask_area_range", "mask_larger_than_box", "box_before_conf", "conf_before_mask"])
+def test_each_detection_fault_keeps_its_message(change, where, message):
+    detection = {**_GOOD_DETECTION, **change}
+    line = json.dumps({"stream_id": "c", "frame_id": 1, "ts_ms": 0,
+                       "detections": [_GOOD_DETECTION, detection]})
+    with pytest.raises(SchemaViolation) as raised:
+        parse_frame_record(line, 3)
+    assert str(raised.value) == f"line 3: $.detections[1]{where}: {message}"
+    # The constructors give the same message.
+    with pytest.raises(ValueError) as built:
+        InstanceDetection(Label.KNIFE, BoundingBox(*detection["box"]), detection["conf"],
+                          detection["mask_area"])
+    assert str(built.value) == message
 
 
 # Inputs whose line ends a span reader could get wrong.

@@ -927,15 +927,16 @@ def test_watch_on_the_seed0_synth_score_script_matches_one_process(tmp_path, mon
 
 def _die_at_frame_20(monkeypatch):
     """Worker 0 of 2 dies in its second span of 8 frames (frames 17-24),
-    after writing its first."""
-    parent, assess = os.getpid(), fusion.assess_frame
+    after writing its first: the workers assess each frame's fields
+    through fusion._assess_fields."""
+    parent, assess = os.getpid(), fusion._assess_fields
 
-    def dying(record, cfg):
-        if record.frame_id == 20 and os.getpid() != parent:
+    def dying(frame, cfg, watch):
+        if frame[1] == 20 and os.getpid() != parent:
             os._exit(1)
-        return assess(record, cfg)
+        return assess(frame, cfg, watch)
 
-    monkeypatch.setattr(fusion, "assess_frame", dying)
+    monkeypatch.setattr(fusion, "_assess_fields", dying)
 
 
 @fork_only
