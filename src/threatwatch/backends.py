@@ -25,14 +25,10 @@ from enum import Enum
 
 from .errors import ThreatwatchError
 from .frames import (
-    BoundingBox,
-    ClassScores,
     FrameRecord,
     Label,
     MalformedJson,
-    PoseKeypoint,
-    _new_detection,
-    _new_record,
+    _record,
     parse_frame_record,
     read_json,
     read_lines,
@@ -152,14 +148,14 @@ _SCENE_SCORES = {
     Scene.KNIFE_OVERHAND: (0.97, 0.02, 0.01),
 }
 _HAND_BOXES = {
-    Scene.HAND_ONLY: BoundingBox(0.44, 0.42, 0.12, 0.14),
-    Scene.KNIFE_GRASPED: BoundingBox(0.40, 0.46, 0.10, 0.10),
-    Scene.KNIFE_OVERHAND: BoundingBox(0.45, 0.28, 0.10, 0.10),
+    Scene.HAND_ONLY: (0.44, 0.42, 0.12, 0.14),
+    Scene.KNIFE_GRASPED: (0.40, 0.46, 0.10, 0.10),
+    Scene.KNIFE_OVERHAND: (0.45, 0.28, 0.10, 0.10),
 }
 _KNIFE_BOXES = {
-    Scene.KNIFE_ONLY: BoundingBox(0.46, 0.50, 0.08, 0.18),
-    Scene.KNIFE_GRASPED: BoundingBox(0.51, 0.44, 0.08, 0.18),
-    Scene.KNIFE_OVERHAND: BoundingBox(0.46, 0.46, 0.08, 0.18),
+    Scene.KNIFE_ONLY: (0.46, 0.50, 0.08, 0.18),
+    Scene.KNIFE_GRASPED: (0.51, 0.44, 0.08, 0.18),
+    Scene.KNIFE_OVERHAND: (0.46, 0.46, 0.08, 0.18),
 }
 _WRISTS = {
     Scene.HAND_ONLY: (0.50, 0.52),
@@ -170,96 +166,57 @@ _FRAME_INTERVAL_MS = 33
 _KEYPOINT_CONF = 0.85
 
 
-# Frames per span of the script's output; synthesize's parts are whole
-# spans, and the forked workers of score and watch (cli._pool_runs) hand
-# the parent one span at a time. On 2 CPUs, score on the benchmark's 60k-frame
-# synth-score script, 15 alternating runs per size: 256 to 8,192 frames
-# all ran at 113-123k fps in the median, within one another's quartiles,
-# but the peak RSS (wait4, 3 runs) grew with the parent's span buffers:
-# 17.1 MB at 256 and 512, 17.9 at 1,024, 19.0 at 2,048, 25.2 at 8,192.
+# Frames per span of the script's output; _synthesize_fields' parts are
+# whole spans, and the forked workers of score and watch (cli._pool_runs)
+# hand the parent one span at a time. On 2 CPUs, score on the benchmark's
+# 60k-frame synth-score script, 15 alternating runs per size: 256 to 8,192
+# frames all ran at 113-123k fps in the median, within one another's
+# quartiles, but the peak RSS (wait4, 3 runs) grew with the parent's span
+# buffers: 17.1 MB at 256 and 512, 17.9 at 1,024, 19.0 at 2,048, 25.2 at
+# 8,192.
 SYNTH_SPAN_FRAMES = 512
 
 
-def synthesize(script: ScenarioScript, seed: int | None = None, part: int = 0,
-               parts: int = 1) -> Iterator[FrameRecord]:
+def synthesize(script: ScenarioScript, seed: int | None = None) -> Iterator[FrameRecord]:
     """Generate the script's frames in order, frame_id from 1, timestamps
     spaced 33 ms apart. Detection confidences are 0.90 + U[0,1) * noise
     per segment; everything else is fixed per scene, so identical (script,
     seed) yields byte-identical serialized output. seed overrides the
-    script's own when given.
-
-    part and parts split the output into spans of SYNTH_SPAN_FRAMES frames
-    and keep spans part, part + parts, ...: every other span's draws are
-    made and discarded, so each frame is the one the whole run makes, and
-    the parts' spans taken in turn are the whole run. The records of a
-    segment share its scores, boxes and keypoints.
-    """
-    return _walk(script, seed, part, parts, _RECORDS)
+    script's own when given. Each record is built from the frame's fields
+    (_synthesize_fields), as parse_frame_record builds one from a line's;
+    score and watch assess those fields and build no record."""
+    return map(_record, _synthesize_fields(script, seed))
 
 
 def _synthesize_fields(script: ScenarioScript, seed: int | None = None, part: int = 0,
                        parts: int = 1) -> Iterator[tuple]:
-    """synthesize's frames as the fields that frames._frame_fields gives
-    for each one's JSONL line, (stream_id, frame_id, ts_ms, scores,
-    detections, keypoints), with no record built: what the worker
-    processes of score and watch assess."""
-    return _walk(script, seed, part, parts, _FIELDS)
+    """The one walk of a script: synthesize's frames as the fields that
+    frames._frame_fields gives for each one's JSONL line, (stream_id,
+    frame_id, ts_ms, scores, detections, keypoints), with no record built.
 
-
-def _record_parts(scene: Scene) -> tuple:
-    """The parts that the records of a segment of scene share: its
-    ClassScores, (label, box, mask_area) per detection, hand first (the
-    order in which each frame draws its confidences), and its keypoints.
-    Every value is valid by construction (a mask covers 0.6 of its box,
-    and a confidence lies in [0.90, 1.0) because noise <= 0.1), so the
-    frames skip the constructors' checks."""
-    templates = [
-        (label, box, box.w * box.h * 0.6)
-        for label, box in ((Label.HAND, _HAND_BOXES.get(scene)), (Label.KNIFE, _KNIFE_BOXES.get(scene)))
-        if box is not None
-    ]
-    wrist = _WRISTS.get(scene)
-    keypoints = () if wrist is None else (PoseKeypoint("right_wrist", wrist[0], wrist[1], _KEYPOINT_CONF),)
-    return ClassScores(*_SCENE_SCORES[scene]), templates, keypoints
-
-
-def _field_parts(scene: Scene) -> tuple:
-    """_record_parts as fields: the scores as (threat, no_threat, hand),
-    each box as (x, y, w, h) and each keypoint as (name, x, y, conf)."""
-    _, templates, keypoints = _record_parts(scene)
-    return (_SCENE_SCORES[scene],
-            [(label, (box.x, box.y, box.w, box.h), mask_area) for label, box, mask_area in templates],
-            tuple([(kp.name, kp.x, kp.y, kp.conf) for kp in keypoints]))
-
-
-def _field_detection(label: Label, box: tuple, conf: float, mask_area: float) -> tuple:
-    """A detection's fields, (label, x, y, w, h, conf, mask_area)."""
-    return (label, *box, conf, mask_area)
-
-
-def _fields(*fields: object) -> tuple:
-    """A frame's fields, as given."""
-    return fields
-
-
-# How the walk builds a frame: a segment's shared parts, then per frame
-# each detection and the frame itself.
-_RECORDS = (_record_parts, _new_detection, _new_record)
-_FIELDS = (_field_parts, _field_detection, _fields)
-
-
-def _walk(script: ScenarioScript, seed: int | None, part: int, parts: int,
-          form: tuple) -> Iterator:
-    """The one walk of synthesize, its frames built in form, _RECORDS or
-    _FIELDS."""
-    segment_parts, detection, frame = form
+    part and parts split the output into spans of SYNTH_SPAN_FRAMES frames
+    and keep spans part, part + parts, ...: every other span's draws are
+    made and discarded, so each frame is the one the whole run makes, and
+    the parts' spans taken in turn are the whole run. The frames of a
+    segment share its scores and keypoints. Every value is valid by
+    construction: a mask covers 0.6 of its box, and a confidence lies in
+    [0.90, 1.0) because noise <= 0.1."""
     draw = random.Random(script.seed if seed is None else seed).random
     stream_id = script.stream_id
     span = SYNTH_SPAN_FRAMES
     last = 0
     for segment in script.segments:
         noise = segment.noise
-        scores, templates, keypoints = segment_parts(segment.scene)
+        scene = segment.scene
+        # (label, box, mask_area) per detection, hand first: the order in
+        # which each frame draws its confidences.
+        templates = [(label, box, box[2] * box[3] * 0.6)
+                     for label, box in ((Label.HAND, _HAND_BOXES.get(scene)),
+                                        (Label.KNIFE, _KNIFE_BOXES.get(scene)))
+                     if box is not None]
+        wrist = _WRISTS.get(scene)
+        keypoints = () if wrist is None else (("right_wrist", *wrist, _KEYPOINT_CONF),)
+        scores = _SCENE_SCORES[scene]
         first = last + 1
         last += segment.duration_frames
         # The segment's frames, cut at the span edges.
@@ -267,10 +224,10 @@ def _walk(script: ScenarioScript, seed: int | None, part: int, parts: int,
             end = min(last, (first - 1) // span * span + span)
             if (first - 1) // span % parts == part:
                 for fid in range(first, end + 1):
-                    yield frame(stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores,
-                                tuple([detection(label, box, 0.90 + draw() * noise, mask_area)
-                                       for label, box, mask_area in templates]),
-                                keypoints)
+                    yield (stream_id, fid, _FRAME_INTERVAL_MS * (fid - 1), scores,
+                           tuple([(label, *box, 0.90 + draw() * noise, mask_area)
+                                  for label, box, mask_area in templates]),
+                           keypoints)
             else:
                 for _ in range(len(templates) * (end - first + 1)):
                     draw()

@@ -16,20 +16,22 @@ with a machine-parseable one-line summary on stderr (frames=...
 rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 
 score and watch each run one loop over one stream of assessed frames
-(_assessed), which comes from one of two places. Worker processes are
-used only where this process may fork (Linux, one thread) and use two
-CPUs or more; they are forked here, each with its own pipe (_forked). A
-JSONL file of 2 MiB or more (POOL_MIN_CHUNKS chunks of CHUNK_BYTES) or a
-synthetic: script of SYNTH_POOL_MIN_FRAMES frames or more is assessed in
-min(usable CPUs, spans) workers (_pool_runs), each taking every
-workers-th span: a byte range of the file, cut by the parent before the
-fork, or backends.SYNTH_SPAN_FRAMES frames of the script. Each span comes
-back as runs of frames cut at its bad lines, which go through the
-backend's bad-line policy between the runs; watch forks the workers before
-its webhook thread starts. Everything else, every input where this
-process may not fork included, is read and assessed in this process, one
-record at a time. So the output, warnings, counts and errors are the same
-either way.
+(_assessed). Worker processes are used only where this process may fork
+(Linux, one thread) and use two CPUs or more; they are forked here, each
+with its own pipe (_forked). A JSONL file of 2 MiB or more
+(POOL_MIN_CHUNKS chunks of CHUNK_BYTES) or a synthetic: script of
+SYNTH_POOL_MIN_FRAMES frames or more is assessed in min(usable CPUs,
+spans) workers (_pool_runs), each taking every workers-th span: a byte
+range of the file, cut by the parent before the fork, or
+backends.SYNTH_SPAN_FRAMES frames of the script. Each span comes back as
+runs of frames cut at its bad lines, which go through the backend's
+bad-line policy between the runs; watch forks the workers before its
+webhook thread starts. Any other synthetic: script runs the same spans
+in this process, so synthetic: input is assessed from its fields and
+builds no FrameRecord on any number of CPUs. Everything else, every JSONL
+input where this process may not fork included, is read and assessed in
+this process, one record at a time. So the output, warnings, counts and
+errors are the same either way.
 """
 
 from __future__ import annotations
@@ -339,15 +341,16 @@ def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: 
 def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers: int,
                command: str) -> Iterator[tuple]:
     """score's or watch's runs of frames (fusion.assess_span) of backend's
-    input, in input order, assessed by cfg in up to workers forked
-    processes (_forked), one span at a time: a byte range of CHUNK_BYTES of
-    a JSONL file, which the parent cuts before the fork, or
-    backends.SYNTH_SPAN_FRAMES frames of a synthetic script, which worker k
-    makes as synthesize's part k. Either way a worker assesses each frame
-    from its fields and builds no FrameRecord or ThreatAssessment: a JSONL
-    line's fields as the parser checks them, a script's frames made as
-    fields (backends._synthesize_fields). Empty runs are skipped. The bad
-    line after each run goes to backend.bad_line when the next run is
+    input, in input order, assessed by cfg one span at a time in up to
+    workers forked processes (_forked), or, for a synthetic script when
+    workers is 0, in this process with no fork: a byte range of
+    CHUNK_BYTES of a JSONL file, which the parent cuts before the fork, or
+    backends.SYNTH_SPAN_FRAMES frames of a synthetic script, which worker
+    k makes as part k of backends._synthesize_fields. Either way each
+    frame is assessed from its fields and no FrameRecord or
+    ThreatAssessment is built: a JSONL line's fields as the parser checks
+    them, a script's frames made as fields. Empty runs are skipped. The
+    bad line after each run goes to backend.bad_line when the next run is
     taken, so in line order among the frames the caller takes; a strict
     backend raises it, which ends the runs and the workers.
 
@@ -361,8 +364,8 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
         lost = lambda j: f"its output ended after frame {spans[j]} of {script.frame_count}"
 
         def assess(part: int) -> Iterator[tuple]:
-            frames = backends._synthesize_fields(script, part=part, parts=workers)
-            for _ in spans[part::workers]:
+            frames = backends._synthesize_fields(script, part=part, parts=parts)
+            for _ in spans[part::parts]:
                 yield assess_fields(itertools.islice(frames, size), cfg, watch)
     else:
         path = backend.path
@@ -370,9 +373,11 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
         lost = lambda j: f"its output ended before line {spans[j][2]}"
 
         def assess(part: int) -> Iterator[tuple]:
-            return (assess_span(cfg, watch, path, *span) for span in spans[part::workers])
+            return (assess_span(cfg, watch, path, *span) for span in spans[part::parts])
     workers = min(workers, len(spans))
-    with contextlib.closing(_forked(assess, len(spans), workers, command, lost)) as results:
+    parts = workers or 1  # with no workers, this process takes every span
+    results = _forked(assess, len(spans), workers, command, lost) if workers else assess(0)
+    with contextlib.closing(results):
         for runs, bad in results:
             for run, exc in itertools.zip_longest(runs, bad):
                 if run[1]:
@@ -386,22 +391,25 @@ def _assessed(backend: DetectorBackend, cfg: FusionConfig,
               command: str) -> Iterator[Iterator[tuple]]:
     """backend's frames assessed by cfg, in input order, for watch as
     (stream_id, frame_id, ts_ms, level, score) per frame, for score as
-    runs of (text, count), the assessment lines of count frames. A large
-    JSONL file or a long synthetic script is assessed in forked worker
-    processes (_pool_runs); anything else here, one record at a time.
-    Read ahead to the first frame, so a missing or bad input fails before
-    the caller creates any output file; a replay's bad lines before it go
-    through backend.bad_line on the way, from either path. The source is
-    closed on exit, which also closes the input file when the output
-    cannot open, and ends and reaps the workers."""
+    runs of (text, count), the assessment lines of count frames. A
+    synthetic script is assessed from its fields, span by span
+    (_pool_runs), in forked worker processes when it is long, else here;
+    a large JSONL file in forked workers too. Anything else, a small JSONL
+    file, stdin or an extern: backend, is assessed here, one record at a
+    time. Read ahead to the first frame, so a missing or bad input fails
+    before the caller creates any output file; a replay's bad lines before
+    it go through backend.bad_line on the way, from either path. The
+    source is closed on exit, which also closes the input file when the
+    output cannot open, and ends and reaps the workers."""
     watch = command == "watch"
     workers = _pool_workers(backend)
-    source = _pool_runs(backend, cfg, watch, workers, command) if workers else backend.frames()
+    by_span = workers or isinstance(backend, backends.SyntheticBackend)
+    source = _pool_runs(backend, cfg, watch, workers, command) if by_span else backend.frames()
     try:
-        if workers and watch:
+        if by_span and watch:
             assessed = itertools.chain.from_iterable(
                 watch_run_frames(columns) for columns, _ in source)
-        elif workers:
+        elif by_span:
             assessed = source
         # One record at a time, through this module's assess_frame and
         # serialize_assessment: perfbench's tracer times each call there.

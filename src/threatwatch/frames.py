@@ -36,12 +36,12 @@ All types here are immutable value objects, and a value that exists is a
 valid one. The public constructors validate every invariant. The parser,
 _frame_fields, checks each JSON value's type and range once and returns
 the frame as plain fields, tuples of str, int, float and Label; from
-those, parse_frame_record builds the records through trusted constructors
-that skip the second check, while the worker processes of score and watch
-hand the fields to fusion as they are and build no record. Each invariant
-is written once, as a function returning the reason a value breaks it,
-which the constructors and the parser call. Parsing is stateless and
-reentrant.
+those, _record builds parse_frame_record's records (and synthesize's)
+through trusted constructors that skip the second check, while the
+worker processes of score and watch hand them to fusion as they are.
+Each invariant is written once, as a function returning the reason a
+value breaks it, which the constructors and the parser call. Parsing is
+stateless and reentrant.
 """
 
 from __future__ import annotations
@@ -616,8 +616,8 @@ def _frame_fields(obj: dict) -> tuple:
     scores, detections, keypoints): scores as (threat, no_threat, hand) or
     None, one (label, x, y, w, h, conf, mask_area) per detection and one
     (name, x, y, conf) per keypoint, each a tuple. They satisfy every
-    invariant of FrameRecord and its parts, so _frame_record builds those
-    with no second check, and fusion assesses the fields as they are."""
+    invariant of FrameRecord and its parts, so _record builds those with
+    no second check, and fusion assesses the fields as they are."""
     get = obj.get
     stream_id = get("stream_id")
     if type(stream_id) is not str:
@@ -642,8 +642,10 @@ def _frame_fields(obj: dict) -> tuple:
     return stream_id, frame_id, ts_ms, scores, detections, keypoints
 
 
-def _frame_record(obj: dict) -> FrameRecord:
-    stream_id, frame_id, ts_ms, scores, detections, keypoints = _frame_fields(obj)
+def _record(frame: tuple) -> FrameRecord:
+    """The FrameRecord of a frame's validated fields (_frame_fields), built
+    with no second check: a parsed line's or a synthetic script's frame."""
+    stream_id, frame_id, ts_ms, scores, detections, keypoints = frame
     return _new_record(
         stream_id, frame_id, ts_ms, None if scores is None else _new_scores(*scores),
         tuple([_new_detection(label, _new_box(x, y, w, h), conf, mask_area)
@@ -659,7 +661,7 @@ def parse_frame_record(line: str, line_no: int = 0) -> FrameRecord:
     JSON object, SchemaViolation when a required field is missing, a value is
     out of range, or an enum value is unknown; never anything else.
     """
-    return _parse_line(line, line_no, _frame_record)
+    return _record(_parse_line(line, line_no, _frame_fields))
 
 
 def serialize_frame_record(record: FrameRecord) -> str:

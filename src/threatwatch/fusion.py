@@ -20,13 +20,14 @@ takes a FrameRecord (assess_frame) and a frame's validated fields
 (frames._frame_fields) alike.
 
 Everything here is pure and stateless; frames can be assessed in parallel
-in any order. The worker processes of `score` and `watch` assess each
-frame from its fields with no FrameRecord or ThreatAssessment built, one
-body for both inputs (_assess_fields). assess_span assesses one span of a
-JSONL file, line by line (_assess_line), into runs of frames cut at its
-bad lines, which it hands back for the caller to skip or raise;
-assess_fields packs one span of a synthetic: script's frames, made as
-fields (backends._synthesize_fields), into the same runs. Neither imports
+in any order. The worker processes of `score` and `watch`, and both on
+synthetic: input in one process, assess each frame from its fields with
+no FrameRecord or ThreatAssessment built, one body for both inputs
+(_assess_fields). assess_span assesses one span of a JSONL file, line by
+line (_assess_line), into runs of frames cut at its bad lines, which it
+hands back for the caller to skip or raise; assess_fields packs one span
+of a synthetic: script's frames, made as fields
+(backends._synthesize_fields), into the same runs. Neither imports
 anything beyond this module, frames and errors.
 """
 
@@ -455,10 +456,13 @@ def assess_fields(frames: Iterable[tuple], cfg: FusionConfig, watch: bool) -> tu
 
 
 def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:
-    """assess_span's runs of score lines or watch frames, packed."""
+    """assess_span's runs of score lines or watch frames, packed, as the
+    workers send them and as a synthetic: script's spans are assessed in
+    one process too."""
     if not watch:
         return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
-    # Imported here, so that one-process runs do not load it.
+    # Imported here, so that score and a JSONL watch in one process do not
+    # load it.
     from array import array
 
     packed = []

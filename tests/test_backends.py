@@ -24,6 +24,7 @@ from threatwatch.backends import (
     script_from_dict,
     synthesize,
 )
+from threatwatch.cli import main
 from threatwatch.frames import (
     MalformedJson,
     _frame_fields,
@@ -81,6 +82,28 @@ def test_deterministic_output_bytes():
     assert override != first
 
 
+# A script whose segments start inside and on the edges of 512-frame
+# spans, at noise 0, 0.05 and 0.1, and the sha256 of the frames that
+# `threatwatch simulate` wrote for it before records were built from the
+# walk's fields: it pins the draw order and each mask's 0.6 of its box.
+PINNED_SCRIPT = {"seed": 23, "stream_id": "cam-pin", "segments": [
+    {"scene": "knife_overhand", "duration_frames": 700, "noise": 0.1},
+    {"scene": "empty", "duration_frames": 300, "noise": 0.0},
+    {"scene": "knife_grasped", "duration_frames": 600, "noise": 0.05},
+    {"scene": "hand_only", "duration_frames": 530, "noise": 0.1},
+    {"scene": "knife_only", "duration_frames": 400, "noise": 0.05}]}
+PINNED_SHA256 = "a53fdba196212f1c93b1a2673ffb26f7d35026a24eaab3a5f1eda435135de2e3"
+
+
+def test_simulate_writes_the_pinned_bytes(tmp_path):
+    path, out = tmp_path / "script.json", tmp_path / "frames.jsonl"
+    path.write_text(json.dumps(PINNED_SCRIPT))
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 2530
+    assert hashlib.sha256(data).hexdigest() == PINNED_SHA256
+
+
 _segments = st.lists(st.builds(Segment, st.sampled_from(Scene), st.integers(1, 40),
                                st.sampled_from([0.0, 0.05, 0.1])), min_size=1, max_size=6)
 
@@ -91,8 +114,8 @@ _segments = st.lists(st.builds(Segment, st.sampled_from(Scene), st.integers(1, 4
 def test_parts_taken_span_by_span_are_the_whole_run(segments, script_seed, seed, parts, span):
     s = script(*segments, seed=script_seed)
     with mock.patch.object(backends, "SYNTH_SPAN_FRAMES", span):
-        whole = list(synthesize(s, seed))
-        pieces = [synthesize(s, seed, part=k, parts=parts) for k in range(parts)]
+        whole = list(backends._synthesize_fields(s, seed))
+        pieces = [backends._synthesize_fields(s, seed, part=k, parts=parts) for k in range(parts)]
         interleaved = []
         for first in range(0, len(whole), span):
             part = pieces[first // span % parts]
@@ -109,9 +132,11 @@ def test_the_workers_fields_are_the_records_field_for_field(segments, script_see
     # At tau_det above 0.90 some jittered confidences fail to qualify.
     s = script(*segments, seed=script_seed)
     cfg = FusionConfig(tau_det=tau_det)
+    whole = list(synthesize(s, seed))
     with mock.patch.object(backends, "SYNTH_SPAN_FRAMES", span):
         for part in range(parts):
-            records = list(synthesize(s, seed, part, parts))
+            # The records of part's spans, part, part + parts, ...
+            records = [r for r in whole if (r.frame_id - 1) // span % parts == part]
             frames = list(backends._synthesize_fields(s, seed, part, parts))
             # Each frame's fields are what the parser gives for its record's line.
             assert frames == [_frame_fields(json.loads(serialize_frame_record(r))) for r in records]

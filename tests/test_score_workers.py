@@ -32,10 +32,11 @@ import time
 import pytest
 
 from threatwatch import backends, cli, fusion
-from threatwatch.backends import Scene, open_backend
+from threatwatch.alerts import AlertTracker, TemporalConfig, serialize_alert_event
+from threatwatch.backends import Scene, load_script, open_backend, script_from_dict, synthesize
 from threatwatch.cli import main
 from threatwatch.frames import chunk_spans
-from threatwatch.fusion import FusionConfig, ThreatLevel
+from threatwatch.fusion import FusionConfig, ThreatLevel, assess_frame, serialize_assessment
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -785,6 +786,22 @@ def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
             "seed": seed}
 
 
+def _record_reference(script, watch=False):
+    """What score writes for script, a ScenarioScript, or for watch its
+    alert events, made one record at a time: serialize_assessment of
+    assess_frame for each record of synthesize(script), at the default
+    config."""
+    cfg = FusionConfig()
+    assessed = [(r, assess_frame(r, cfg)) for r in synthesize(script)]
+    if not watch:
+        return "".join(serialize_assessment(a) + "\n" for _, a in assessed).encode()
+    tracker = AlertTracker(TemporalConfig())
+    events = [tracker.feed(r.stream_id, r.frame_id, r.ts_ms, a.level, a.score)
+              for r, a in assessed]
+    events = [e for e in events if e is not None] + tracker.flush_all()
+    return "".join(serialize_alert_event(e) + "\n" for e in events).encode()
+
+
 def _score_synthetic(tmp_path, uri, monkeypatch, caplog, capsys, cpus, span=8, min_frames=2,
                      stdin=None, out=None):
     """score uri with cpus usable CPUs, spans of span frames, the synthetic
@@ -824,6 +841,7 @@ def test_synthetic_spans_match_one_process(tmp_path, monkeypatch, caplog, capsys
     (code, summary, warnings, errors), out, _ = serial
     assert (code, summary, warnings, errors) == (0, ("47", "0"), [], [])
     assert [json.loads(line)["frame_id"] for line in out.splitlines()] == list(range(1, 48))
+    assert out == _record_reference(load_script(str(script)))
 
 
 @fork_only
@@ -833,6 +851,7 @@ def test_synthetic_stdin_script_matches_one_process(tmp_path, monkeypatch, caplo
                                                 capsys, stdin=data)
     assert (serial[2], pooled[2]) == (0, 2)
     assert pooled[:2] == serial[:2] and serial[0][:2] == (0, ("47", "0"))
+    assert serial[1] == _record_reference(script_from_dict(json.loads(data)))
 
 
 @fork_only
@@ -845,6 +864,7 @@ def test_seed0_synth_score_input_matches_one_process(tmp_path, monkeypatch, capl
     assert (serial[2], pooled[2]) == (0, 2)
     assert pooled[:2] == serial[:2]
     assert serial[0][1] == (str(len(workload.truth.frames)), "0")
+    assert serial[1] == _record_reference(load_script(workload.input_uri.partition(":")[2]))
 
 
 @fork_only
@@ -909,6 +929,7 @@ def test_watch_on_a_synthetic_script_matches_one_process(tmp_path, monkeypatch, 
     code, warnings, err, alerts = runs[0]
     assert code == 0 and b'"kind":"raised"' in alerts
     assert err == ["summary: frames=150 skipped=0 dropped=0 alerts_raised=1 events=3"]
+    assert alerts == _record_reference(load_script(str(script)), watch=True)
 
 
 @fork_only
@@ -923,6 +944,34 @@ def test_watch_on_the_seed0_synth_score_script_matches_one_process(tmp_path, mon
     code, warnings, err, alerts = runs[0]
     assert code == 0 and warnings == [] and b'"kind":"raised"' in alerts
     assert err[0].startswith(f"summary: frames={len(workload.truth.frames)} skipped=0 ")
+    assert alerts == _record_reference(load_script(workload.input_uri.partition(":")[2]),
+                                       watch=True)
+
+
+@pytest.mark.parametrize("durations", [(8, 5, 11, 3, 20),
+                                       (1000, 1000, 1000, 1000, cli.SYNTH_POOL_MIN_FRAMES - 4000)],
+                         ids=["short", "pool_threshold"])
+def test_synthetic_input_in_one_process_builds_no_record(tmp_path, monkeypatch, caplog, capsys,
+                                                         durations):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(_script((0.1, 0.0, 0.05), durations)))
+    reference = {command: _record_reference(load_script(str(script)), command == "watch")
+                 for command in ("score", "watch")}
+
+    def no_record(*args):
+        raise AssertionError("a FrameRecord was built")
+
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    monkeypatch.setattr(backends.SyntheticBackend, "frames", no_record)
+    monkeypatch.setattr("threatwatch.frames._new_record", no_record)
+    forked = len(_FORKED)
+    for command, flag in (("score", "--out"), ("watch", "--alerts")):
+        out = tmp_path / f"{command}.jsonl"
+        code, warnings, _ = _main([command, "--input", f"synthetic:{script}", flag, str(out)],
+                                  monkeypatch, caplog, capsys, 2)
+        assert (code, warnings) == (0, [])
+        assert out.read_bytes() == reference[command]
+    assert len(_FORKED) == forked
 
 
 def _die_at_frame_20(monkeypatch):
