@@ -18,14 +18,16 @@ rate_fps=...); watch with a webhook adds a "webhook: delivered=..." line.
 score and watch each run one loop over one stream of assessed frames
 (_assessed). Worker processes are used only where this process may fork
 (Linux, one thread) and use two CPUs or more; they are forked here, each
-with its own pipe (_forked). A JSONL file of 2 MiB or more
-(POOL_MIN_CHUNKS chunks of CHUNK_BYTES) or a synthetic: script of
+with its own pipe (_forked). A JSONL file of more than 768 KiB
+(POOL_MIN_CHUNKS chunks of CHUNK_BYTES or more) or a synthetic: script of
 SYNTH_POOL_MIN_FRAMES frames or more is assessed in min(usable CPUs,
 spans) workers (_pool_runs), each taking every workers-th span: a byte
 range of the file, cut by the parent before the fork, or
 backends.SYNTH_SPAN_FRAMES frames of the script. Each span comes back as
-runs of frames cut at its bad lines, which go through the backend's
-bad-line policy between the runs; watch forks the workers before its
+runs of frames cut at its bad lines (assess_span), which go through the
+backend's bad-line policy between the runs. A worker sends a span's runs
+packed (_packed) as one pickle behind its length, a wire format that
+this module alone writes and reads; watch forks the workers before its
 webhook thread starts. Any other synthetic: script runs the same spans
 in this process, so synthetic: input is assessed from its fields and
 builds no FrameRecord on any number of CPUs. Everything else, every JSONL
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -62,10 +65,10 @@ from .backends import (
     synthesize,
 )
 from .errors import ThreatwatchError
-from .frames import (MalformedJson, chunk_spans, read_json, read_lines, read_manifest,
-                     serialize_frame_record, validate_manifest)
-from .fusion import (FusionConfig, assess_fields, assess_frame, assess_span, serialize_assessment,
-                     watch_run_frames)
+from .frames import (MalformedJson, chunk_spans, parse_lines, read_json, read_lines, read_manifest,
+                     read_span, serialize_frame_record, validate_manifest)
+from .fusion import (FusionConfig, ThreatLevel, _assess_fields, _assess_line, assess_frame,
+                     serialize_assessment)
 
 logger = logging.getLogger(__name__)
 
@@ -227,24 +230,25 @@ def cmd_split(args: argparse.Namespace) -> int:
 # Bytes of raw lines per chunk that score and watch hand a worker process.
 CHUNK_BYTES = 256 * 1024
 # The fewest chunks of a JSONL file that score and watch run in worker
-# processes; a smaller file does not win back their start-up. On 2 CPUs,
-# measured with an executor pool whose first result came about 0.06 s
-# after the run started (bare forks start a few ms sooner):
-# - score, line-aligned prefixes of the replay-score benchmark input in
-#   alternating one-process and pool runs: the pool won 5 of 18 runs at
-#   1 and at 1.5 MiB, 13 of 18 at 2 MiB (6% faster in the median), 16 of
-#   18 at 3 MiB and every run from 4 MiB.
-# - watch, prefixes of the replay-watch benchmark input with its webhook:
-#   the pool won 6 of 12 runs at 1 MiB, 10 of 12 at 1.5 and at 2 MiB (14%
-#   faster in the median), 9 of 12 at 3 MiB, 11 of 12 at 4.
-POOL_MIN_CHUNKS = 8
-# The fewest frames of a synthetic: script that score runs in worker
-# processes; a shorter script does not win back their start-up. On 2
-# CPUs, five-scene scripts at noise 0.02, 16 alternating pairs of one-CPU
-# and pool runs each: the pool won 2 pairs at 1,000 frames (51k against
-# 73k fps in the median), 6 at 2,000, 5 and then 13 at 3,000, 10 in each
-# of two sets at 4,000 (7-8% faster), 12 at 5,000 (42% faster), 16 at
-# 6,000 and 14 at 8,000.
+# processes, so a file of more than 768 KiB; a smaller file does not win
+# back their start-up. On a 2-vCPU host, line-aligned prefixes of the
+# seed-0 benchmark inputs, 16 alternating pairs of one-process and forked
+# runs at each size, timing cli.main (the 768 KiB prefix is 3 chunks, the
+# 1 MiB one 4):
+# - score, replay-score input, in two sets: the pool won 6 pairs at 384
+#   KiB, 12 and 7 at 512 KiB, 14 and 11 at 768 KiB, 16 and 15 at 1 MiB
+#   (15-17% faster in the median), 16 and 16 at 1.5 MiB, 16 at 2 and at
+#   3 MiB.
+# - watch, replay-watch input without its webhook: the pool won 12 pairs
+#   at 512 KiB, 14 at 768 KiB, 16 at 1 MiB (31% faster), 1.5 and 2 MiB.
+POOL_MIN_CHUNKS = 4
+# The fewest frames of a synthetic: script that score and watch run in
+# worker processes. On a 2-vCPU host, five-scene scripts at noise 0.02,
+# two sets of 16 alternating one-process and forked score pairs at each
+# size: the pool won 8 and 2 pairs at 4,000 frames, 12 and 4 at 5,000, 13
+# and 11 at 6,000, 11 and 7 at 8,000, 7 and 6 at 10,000. Neither side won
+# 13 pairs at two adjacent sizes in both sets (one-process runs took
+# either about 95k or about 160k fps), so the value stays.
 SYNTH_POOL_MIN_FRAMES = 5000
 
 
@@ -338,26 +342,92 @@ def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: 
             os.waitpid(pid, 0)
 
 
-def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers: int,
+def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
+                first_line_no: int
+                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
+    """Parse and assess the frame lines of one span of the file at path
+    (frames.chunk_spans), numbered from first_line_no, as score (watch
+    False) or watch does in one process, but from each line's validated
+    fields (fusion._assess_line), with no FrameRecord or ThreatAssessment
+    built.
+
+    Returns (runs, bad): the span's frames cut at each bad line, len(bad)
+    + 1 runs packed by _packed; and those lines' exceptions, in line
+    order, for the caller's bad-line policy to skip or raise.
+    """
+    frames: list = []
+    runs = [frames]
+    bad: list[ThreatwatchError] = []
+
+    def cut(exc: ThreatwatchError) -> None:
+        nonlocal frames
+        bad.append(exc)
+        frames = []
+        runs.append(frames)
+
+    assess = functools.partial(_assess_line, cfg=cfg, watch=watch)
+    for frame in parse_lines(read_span(path, offset, nbytes), first_line_no, assess, cut):
+        frames.append(frame)
+    return _packed(runs, watch), bad
+
+
+def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:
+    """Runs of score lines or watch frames as _forked sends them, each as
+    (frames, count). A run's frames are, for score, its assessment lines
+    as one string, each ended by LF; for watch, its columns (stream_ids,
+    frame_ids, ts_ms, level values, scores), the numbers in arrays and the
+    levels as bytes, so that a run crosses to the parent as a few buffers
+    rather than a few objects per frame; _unpacked undoes it. A synthetic:
+    script's spans are packed so in this process too."""
+    if not watch:
+        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
+    # Imported here, so that only watch's span path loads it: no other
+    # command, nor a JSONL watch in one process.
+    from array import array
+
+    packed = []
+    for run in runs:
+        stream_ids, frame_ids, ts_ms, levels, scores = zip(*run) if run else ((),) * 5
+        # frame_id and ts_ms are uint64 (frames._stamp_error).
+        packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
+                        array("d", scores)), len(run)))
+    return packed
+
+
+# The levels by value, as a packed watch run carries them.
+_LEVELS = tuple(ThreatLevel)
+
+
+def _unpacked(columns: tuple) -> Iterator[tuple[str, int, int, ThreatLevel, float]]:
+    """A packed watch run's frames, (stream_id, frame_id, ts_ms, level,
+    score), unpacked in C."""
+    stream_ids, frame_ids, ts_ms, levels, scores = columns
+    return zip(stream_ids, frame_ids, ts_ms, map(_LEVELS.__getitem__, levels), scores)
+
+
+def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, workers: int,
                command: str) -> Iterator[tuple]:
-    """score's or watch's runs of frames (fusion.assess_span) of backend's
-    input, in input order, assessed by cfg one span at a time in up to
-    workers forked processes (_forked), or, for a synthetic script when
-    workers is 0, in this process with no fork: a byte range of
-    CHUNK_BYTES of a JSONL file, which the parent cuts before the fork, or
+    """command's frames of backend's input, in input order, as _assessed
+    gives them, assessed by cfg one span at a time in up to workers forked
+    processes (_forked), or, for a synthetic script when workers is 0, in
+    this process with no fork: a byte range of CHUNK_BYTES of a JSONL file
+    (assess_span), which the parent cuts before the fork, or
     backends.SYNTH_SPAN_FRAMES frames of a synthetic script, which worker
     k makes as part k of backends._synthesize_fields. Either way each
     frame is assessed from its fields and no FrameRecord or
     ThreatAssessment is built: a JSONL line's fields as the parser checks
-    them, a script's frames made as fields. Empty runs are skipped. The
-    bad line after each run goes to backend.bad_line when the next run is
-    taken, so in line order among the frames the caller takes; a strict
-    backend raises it, which ends the runs and the workers.
+    them, a script's frames made as fields. A span comes back as packed
+    runs (_packed) cut at its bad lines; empty runs are skipped, and a
+    watch run is unpacked here. The bad line after each run goes to
+    backend.bad_line when the next run is taken, so in line order among
+    the frames the caller takes; a strict backend raises it, which ends
+    the runs and the workers.
 
     The workers share the parent's imported modules: on the 10 MB
     replay-score input, the parent peaks at about 17.5 MB RSS and each of
     two workers at 17.0 MB, 51.5 MB together (26.5 MB PSS), against 17.1
     MB for one process."""
+    watch = command == "watch"
     if isinstance(backend, backends.SyntheticBackend):
         script, size = backend.script, backends.SYNTH_SPAN_FRAMES
         spans = range(0, script.frame_count, size)
@@ -366,7 +436,8 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
         def assess(part: int) -> Iterator[tuple]:
             frames = backends._synthesize_fields(script, part=part, parts=parts)
             for _ in spans[part::parts]:
-                yield assess_fields(itertools.islice(frames, size), cfg, watch)
+                run = [_assess_fields(frame, cfg, watch) for frame in itertools.islice(frames, size)]
+                yield _packed([run], watch), []
     else:
         path = backend.path
         spans = list(chunk_spans(path, CHUNK_BYTES))
@@ -381,7 +452,10 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, watch: bool, workers
         for runs, bad in results:
             for run, exc in itertools.zip_longest(runs, bad):
                 if run[1]:
-                    yield run
+                    if watch:
+                        yield from _unpacked(run[0])
+                    else:
+                        yield run
                 if exc is not None:
                     backend.bad_line(exc)
 
@@ -392,28 +466,25 @@ def _assessed(backend: DetectorBackend, cfg: FusionConfig,
     """backend's frames assessed by cfg, in input order, for watch as
     (stream_id, frame_id, ts_ms, level, score) per frame, for score as
     runs of (text, count), the assessment lines of count frames. A
-    synthetic script is assessed from its fields, span by span
-    (_pool_runs), in forked worker processes when it is long, else here;
-    a large JSONL file in forked workers too. Anything else, a small JSONL
-    file, stdin or an extern: backend, is assessed here, one record at a
-    time. Read ahead to the first frame, so a missing or bad input fails
-    before the caller creates any output file; a replay's bad lines before
-    it go through backend.bad_line on the way, from either path. The
-    source is closed on exit, which also closes the input file when the
-    output cannot open, and ends and reaps the workers."""
-    watch = command == "watch"
+    synthetic script is assessed from its fields, span by span, in forked
+    worker processes when it is long, else here, and a large JSONL file in
+    forked workers too: _pool_runs gives their frames in this form.
+    Anything else, a small JSONL file, stdin or an extern: backend, is
+    assessed here, one record at a time. Read ahead to the first frame, so
+    a missing or bad input fails before the caller creates any output
+    file; a replay's bad lines before it go through backend.bad_line on
+    the way, from either path. The source is closed on exit, which also
+    closes the input file when the output cannot open, and ends and reaps
+    the workers."""
     workers = _pool_workers(backend)
     by_span = workers or isinstance(backend, backends.SyntheticBackend)
-    source = _pool_runs(backend, cfg, watch, workers, command) if by_span else backend.frames()
+    source = _pool_runs(backend, cfg, workers, command) if by_span else backend.frames()
     try:
-        if by_span and watch:
-            assessed = itertools.chain.from_iterable(
-                watch_run_frames(columns) for columns, _ in source)
-        elif by_span:
+        if by_span:
             assessed = source
         # One record at a time, through this module's assess_frame and
         # serialize_assessment: perfbench's tracer times each call there.
-        elif watch:
+        elif command == "watch":
             assessed = ((record.stream_id, record.frame_id, record.ts_ms, assessment.level,
                          assessment.score)
                         for record in source for assessment in (assess_frame(record, cfg),))

@@ -17,33 +17,23 @@ localization, the classifier does not. One body, _fuse, holds the level,
 score and evidence rules. It reads the qualifying hands and knives as
 (index, conf, cx, cy) and the keypoints as (name, x, y, conf), so it
 takes a FrameRecord (assess_frame) and a frame's validated fields
-(frames._frame_fields) alike.
+(frames._frame_fields) alike: _assess_fields makes a frame's score line
+or watch frame from its fields with no FrameRecord or ThreatAssessment
+built, and _assess_line does so for one JSONL line.
 
-Everything here is pure and stateless; frames can be assessed in parallel
-in any order. The worker processes of `score` and `watch`, and both on
-synthetic: input in one process, assess each frame from its fields with
-no FrameRecord or ThreatAssessment built, one body for both inputs
-(_assess_fields). assess_span assesses one span of a JSONL file, line by
-line (_assess_line), into runs of frames cut at its bad lines, which it
-hands back for the caller to skip or raise; assess_fields packs one span
-of a synthetic: script's frames, made as fields
-(backends._synthesize_fields), into the same runs. Neither imports
-anything beyond this module, frames and errors.
+Everything here is pure, stateless and assesses one frame at a time; it
+reads no file, so frames can be assessed in parallel in any order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator
 
-from .errors import ThreatwatchError
 from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
-                     PoseKeypoint, _frame_fields, _keypoint_kind, _parse_line, parse_lines,
-                     read_span)
+                     PoseKeypoint, _frame_fields, _keypoint_kind, _parse_line)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -389,8 +379,8 @@ def _assessment_line(stream_id: str, frame_id: int, level: ThreatLevel, score: f
 
 
 def _assess_fields(frame: tuple, cfg: FusionConfig, watch: bool) -> str | tuple:
-    """What a worker makes of one frame given as its validated fields
-    (frames._frame_fields), with no record built: for score,
+    """What score or watch makes of one frame given as its validated
+    fields (frames._frame_fields), with no record built: for score,
     serialize_assessment(assess_frame(record, cfg)) of the record with
     those fields; for watch, the frame (stream_id, frame_id, ts_ms, level,
     score) of that assessment."""
@@ -411,74 +401,3 @@ def _assess_line(line: str, line_no: int, cfg: FusionConfig, watch: bool) -> str
     """_assess_fields of one JSONL frame line numbered line_no. Raises
     what parse_frame_record raises."""
     return _assess_fields(_parse_line(line, line_no, _frame_fields), cfg, watch)
-
-
-def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
-                first_line_no: int
-                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
-    """Parse and assess the frame lines of one span of the file at path
-    (frames.chunk_spans), numbered from first_line_no, as score (watch
-    False) or watch does in one process, but from each line's validated
-    fields: _assess_line builds no FrameRecord and no ThreatAssessment,
-    and serializes the score line or makes the watch frame straight from
-    the fields (_assess_fields).
-
-    Returns (runs, bad): the span's frames cut at each bad line, len(bad)
-    + 1 runs, each as (frames, count); and those lines' exceptions, in
-    line order, for the caller's bad-line policy to skip or raise. A run's
-    frames are, for score, its assessment lines as one string, each ended
-    by LF; for watch, its columns (stream_ids, frame_ids, ts_ms, level
-    values, scores), the numbers in arrays and the levels as bytes, so
-    that a run crosses to the parent as a few buffers rather than a few
-    objects per frame; watch_run_frames unpacks them.
-    """
-    frames: list = []
-    runs = [frames]
-    bad: list[ThreatwatchError] = []
-
-    def cut(exc: ThreatwatchError) -> None:
-        nonlocal frames
-        bad.append(exc)
-        frames = []
-        runs.append(frames)
-
-    assess = functools.partial(_assess_line, cfg=cfg, watch=watch)
-    for frame in parse_lines(read_span(path, offset, nbytes), first_line_no, assess, cut):
-        frames.append(frame)
-    return _packed(runs, watch), bad
-
-
-def assess_fields(frames: Iterable[tuple], cfg: FusionConfig, watch: bool) -> tuple:
-    """assess_span's (runs, bad) for one span of frames given as their
-    fields (_assess_fields), a synthetic: script's: one run, no bad
-    lines."""
-    return _packed([[_assess_fields(frame, cfg, watch) for frame in frames]], watch), []
-
-
-def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:
-    """assess_span's runs of score lines or watch frames, packed, as the
-    workers send them and as a synthetic: script's spans are assessed in
-    one process too."""
-    if not watch:
-        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
-    # Imported here, so that score and a JSONL watch in one process do not
-    # load it.
-    from array import array
-
-    packed = []
-    for run in runs:
-        stream_ids, frame_ids, ts_ms, levels, scores = zip(*run) if run else ((),) * 5
-        # frame_id and ts_ms are uint64 (frames._stamp_error).
-        packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
-                        array("d", scores)), len(run)))
-    return packed
-
-
-# The levels by value, as a packed watch run carries them.
-_LEVELS = tuple(ThreatLevel)
-
-
-def watch_run_frames(columns: tuple) -> Iterator[tuple[str, int, int, ThreatLevel, float]]:
-    """A watch run's frames, (stream_id, frame_id, ts_ms, level, score), unpacked in C."""
-    stream_ids, frame_ids, ts_ms, levels, scores = columns
-    return zip(stream_ids, frame_ids, ts_ms, map(_LEVELS.__getitem__, levels), scores)

@@ -11,9 +11,9 @@ import sys
 
 import pytest
 
-from threatwatch.cli import main
+from threatwatch.cli import assess_span, main
 from threatwatch.frames import chunk_spans, parse_frame_record
-from threatwatch.fusion import FusionConfig, assess_frame, assess_span
+from threatwatch.fusion import FusionConfig, assess_frame
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -31,10 +31,11 @@ import time
 
 import pytest
 
-from threatwatch import backends, cli, fusion
+from threatwatch import backends, cli
 from threatwatch.alerts import AlertTracker, TemporalConfig, serialize_alert_event
 from threatwatch.backends import Scene, load_script, open_backend, script_from_dict, synthesize
 from threatwatch.cli import main
+from threatwatch.errors import ThreatwatchError
 from threatwatch.frames import chunk_spans
 from threatwatch.fusion import FusionConfig, ThreatLevel, assess_frame, serialize_assessment
 
@@ -276,14 +277,10 @@ def test_unwritable_out_exits_2_and_closes_input(tmp_path, monkeypatch, caplog, 
     _no_child()
 
 
-@fork_only
-@pytest.mark.parametrize("cpus, lines, chunk_bytes, workers", [(2, 200, 1, 2), (4, 3, 150, 3)])
-def test_workers_and_chunks_in_flight_are_bounded(tmp_path, monkeypatch, cpus, lines, chunk_bytes,
-                                                  workers):
-    # Lines longer than a pipe and the parent's read buffer hold, one to a
-    # span: a worker blocks in the write of a span's payload until the
-    # parent reads it. min(CPUs, chunks) workers, but no more than spans: 3
-    # lines are 3 spans but more than 4 chunks by size.
+def _pipe_filling_frames(tmp_path, lines):
+    """A frames file of lines longer than a pipe and the parent's read
+    buffer hold: a worker blocks in the write of such a line's payload
+    until the parent reads it."""
     import fcntl
 
     read_fd, write_fd = os.pipe()
@@ -294,6 +291,17 @@ def test_workers_and_chunks_in_flight_are_bounded(tmp_path, monkeypatch, cpus, l
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(b"".join(_line(i).replace(b'"c"', stream_id) + b"\n"
                                 for i in range(1, lines + 1)))
+    return frames
+
+
+@fork_only
+@pytest.mark.parametrize("cpus, lines, chunk_bytes, workers", [(2, 200, 1, 2), (4, 3, 150, 3)])
+def test_workers_and_chunks_in_flight_are_bounded(tmp_path, monkeypatch, cpus, lines, chunk_bytes,
+                                                  workers):
+    # Long lines (_pipe_filling_frames), one to a span. min(CPUs, chunks)
+    # workers, but no more than spans: 3 lines are 3 spans but more than 4
+    # chunks by size.
+    frames = _pipe_filling_frames(tmp_path, lines)
     started = tmp_path / "started"
     assess = cli.assess_span
 
@@ -355,13 +363,13 @@ def test_only_a_large_regular_jsonl_file_gets_workers(tmp_path, monkeypatch):
 
 
 def test_shipped_threshold_keeps_small_files_in_one_process(tmp_path, monkeypatch):
-    # 2 MiB
-    assert (cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS) == (256 * 1024, 8)
+    # more than 768 KiB
+    assert (cli.CHUNK_BYTES, cli.POOL_MIN_CHUNKS) == (256 * 1024, 4)
     monkeypatch.setattr(cli, "_may_fork", lambda: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     frames = tmp_path / "frames.jsonl"
-    for size, workers in ((7 * cli.CHUNK_BYTES, 0), (8 * cli.CHUNK_BYTES, 2)):
+    for size, workers in ((3 * cli.CHUNK_BYTES, 0), (3 * cli.CHUNK_BYTES + 1, 2)):
         with open(frames, "wb") as fh:
             fh.truncate(size)  # sparse: only the size is read
         assert cli._pool_workers(open_backend(f"jsonl:{frames}")) == workers
@@ -455,6 +463,54 @@ def test_worker_death_exits_1_without_hanging(tmp_path):
         assert done.stderr.decode().splitlines() == [
             f"error: a {command} worker process died: its output ended before line 1",
             "threads at each fork: [1, 1]", "no child is left"]
+
+
+@fork_only
+def test_worker_killed_inside_a_payload_exits_with_the_line_it_lost(tmp_path, monkeypatch):
+    # Worker 1 of 2 is killed once part of span 1's payload is in its pipe,
+    # after the length before it: the parent reads a payload shorter than
+    # that length. The parent reads only once the worker is dead, since a
+    # killed writer still fills a pipe that is being drained; WNOWAIT leaves
+    # it for the parent to reap.
+    import fcntl
+    import signal
+    import termios
+
+    frames = _pipe_filling_frames(tmp_path, 3)
+    fork, pipe, pids, read_fds = os.fork, os.pipe, [], []
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def recorded_pipe():
+        fds = pipe()
+        read_fds.append(fds[0])
+        return fds
+
+    def queued(fd):
+        return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(cli, "POOL_MIN_CHUNKS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ThreatwatchError) as raised:
+        with cli._assessed(open_backend(f"jsonl:{frames}", False), FusionConfig(),
+                           "score") as runs:
+            assert len(pids) == len(read_fds) == 2
+            deadline = time.monotonic() + 30
+            while queued(read_fds[1]) <= 8:  # the length, then the payload
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(pids[1], signal.SIGKILL)
+            os.waitid(os.P_PID, pids[1], os.WEXITED | os.WNOWAIT)
+            list(runs)
+    assert str(raised.value) == "a score worker process died: its output ended before line 2"
+    _no_child()
 
 
 @fork_only
@@ -977,15 +1033,15 @@ def test_synthetic_input_in_one_process_builds_no_record(tmp_path, monkeypatch, 
 def _die_at_frame_20(monkeypatch):
     """Worker 0 of 2 dies in its second span of 8 frames (frames 17-24),
     after writing its first: the workers assess each frame's fields
-    through fusion._assess_fields."""
-    parent, assess = os.getpid(), fusion._assess_fields
+    through cli._assess_fields."""
+    parent, assess = os.getpid(), cli._assess_fields
 
     def dying(frame, cfg, watch):
         if frame[1] == 20 and os.getpid() != parent:
             os._exit(1)
         return assess(frame, cfg, watch)
 
-    monkeypatch.setattr(fusion, "_assess_fields", dying)
+    monkeypatch.setattr(cli, "_assess_fields", dying)
 
 
 @fork_only
