@@ -13,7 +13,9 @@ one reset.
 The machine is purely functional: step() and flush() return a new state,
 never mutate, so states can be checkpointed or moved between threads
 between calls. One state per stream_id; streams are independent.
-AlertTracker.feed runs step()'s transition on a frame's fields alone.
+AlertTracker.feed runs step()'s transition on a frame's fields alone, and
+keeps an idle stream, one with no hot streak and no open alert, as its
+last frame_id: that is all of such a state that a later frame can observe.
 """
 
 from __future__ import annotations
@@ -205,35 +207,50 @@ class AlertTracker:
     Routes each frame to its stream's state, collects emitted events, and
     counts (rather than propagates) out-of-order frames so one misbehaving
     source cannot stall a multi-stream watch loop.
+
+    states holds one entry for every stream seen: its AlertState while it
+    has a hot streak or an open alert, and otherwise, idle, its last
+    frame_id as a plain int. A cold frame of an idle stream then builds no
+    state, and an idle stream costs its dict slot and one int.
     """
 
     def __init__(self, cfg: TemporalConfig) -> None:
         self.cfg = cfg
-        self.states: dict[str, AlertState] = {}
+        self.states: dict[str, AlertState | int] = {}
         self.dropped = 0
 
     def feed(self, stream_id: str, frame_id: int, ts_ms: int, level: ThreatLevel,
              score: float) -> AlertEvent | None:
         """step() of stream_id's state over one frame's fields, stamped
         ts_ms; an out-of-order frame is logged, counted in dropped and skipped."""
-        state = self.states.get(stream_id) or new_state(stream_id)
+        state = self.states.get(stream_id)
         try:
+            if state.__class__ is not AlertState:  # idle: the last frame_id, or None if unseen
+                if state is not None and frame_id <= state:
+                    raise OutOfOrderFrame(stream_id, frame_id, state)
+                if level < ThreatLevel.GRASPED:
+                    self.states[stream_id] = frame_id
+                    return None
+                state = _new_state(stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0, state, 0)
             state, event = _advance(state, frame_id, ts_ms, level, score, self.cfg)
         except OutOfOrderFrame as exc:
             self.dropped += 1
             logger.warning("dropping frame: %s", exc)
             return None
-        self.states[stream_id] = state
+        self.states[stream_id] = (
+            state if state.consecutive_hot or state.active_alert_id is not None else frame_id)
         return event
 
     def flush_all(self) -> list[AlertEvent]:
         """Flush every stream in sorted stream_id order, each at its own
-        last seen timestamp."""
+        last seen timestamp; an idle stream has nothing to flush."""
+        states = self.states
         events = []
-        for stream_id in sorted(self.states):
-            state = self.states[stream_id]
+        for stream_id in sorted([stream_id for stream_id, state in states.items()
+                                 if state.__class__ is AlertState]):
+            state = states[stream_id]
             state, event = flush(state, state.last_ts_ms)
-            self.states[stream_id] = state
+            states[stream_id] = state.last_frame_id
             if event is not None:
                 events.append(event)
         return events

@@ -539,9 +539,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
         yield from tracker.flush_all()
 
     if webhook_url:
-        # Imported only when used: its HTTP client is most of the package's
-        # import time and memory, though it leaves out ssl, which only an
-        # https:// connection imports.
+        # Imported only when used, with the socket module it posts through;
+        # only an https:// connection imports ssl.
         from .webhook import WebhookSink
     started = time.perf_counter()
     backend = _open_input(args.input, False, args.alerts)

@@ -7,28 +7,38 @@ dropped. When the queue is full the newest event is dropped (and counted)
 rather than stalling ingest, and close() gives up on a hung endpoint
 after CLOSE_WAIT_S, counting what it leaves undelivered as dropped.
 
-The thread posts through one http.client connection, kept open while the
-server keeps it alive and opened again after the server closes it or an
-attempt fails. A kept-alive connection that the server closed while it
-was idle fails before any reply; the attempt then goes again on a new
-connection, so a stale socket does not use up the retry. Only a 2xx reply
-counts as delivered: a redirect is not followed, and no proxy is used.
+The thread speaks HTTP/1.1 over one bare socket, kept open while the
+server keeps it alive (HTTP/1.1 unless it says Connection: close, HTTP/1.0
+only when it says Connection: keep-alive) and opened again after the
+server closes it or an attempt fails. The request head is built once per
+sink. A reply is read whole, 1xx replies skipped, its head up to MAX_HEAD
+bytes and its body framed by Content-Length, by chunked encoding or by the
+server closing the connection. A kept-alive connection that the server
+closed while it was idle fails before any reply; the attempt then goes
+again on a new connection, so a stale socket does not use up the retry.
+Only a 2xx reply counts as delivered: a redirect is not followed, and no
+proxy is used.
 
-An http:// webhook loads no ssl, which is most of what http.client would
-cost in memory: the sink uses a private copy of http.client whose own
-`import ssl` fails, and which goes into no sys.modules entry, so other
-code in the process still gets the whole module. An https:// connection
-imports ssl when it first opens and checks the certificate and the host
-name as HTTPSConnection's default context does; where ssl cannot be
-imported, every event counts as failed.
+Each attempt, the connect, the send and the whole reply, has one deadline,
+TIMEOUT_S away: every socket call may take only what is left of it, so a
+server that trickles its reply cannot hold the thread for longer.
+
+No HTTP client module is loaded: http.client would import email.* and,
+unless kept from it, ssl, which cost more memory and start-up time than
+the few lines here. An http:// URL never loads ssl. An https://
+connection imports ssl when it first opens and checks the certificate and
+the host name with ssl.create_default_context(); where ssl cannot be
+imported, every event counts as failed. A URL whose host or path holds a
+control character or a space, or whose path is not ASCII, counts every
+event as failed, as http.client refuses it.
 """
 
 from __future__ import annotations
 
-import builtins
-import importlib.util
 import logging
 import queue
+import re
+import socket
 import threading
 import time
 from urllib.parse import urlsplit
@@ -38,75 +48,143 @@ from .alerts import AlertEvent, serialize_alert_event
 logger = logging.getLogger(__name__)
 
 _STOP = object()
-# Seconds each socket operation of a POST may take: the connect, each
-# send and each read of the reply. A whole attempt is not bounded; a
-# server that trickles its reply can hold it for longer.
+# Seconds one attempt may take, from the connect to the reply's last byte.
 TIMEOUT_S = 2.0
 # Events the queue holds; send() drops any beyond.
 MAX_QUEUE = 1000
 # Seconds close() waits for the queue to drain.
 CLOSE_WAIT_S = 30.0
 
-_HEADERS = {"Content-Type": "application/json"}
+# Bytes the head of a reply, its status line and headers, may take.
+MAX_HEAD = 65536
+# What http.client refuses in a URL's host or path: controls and spaces.
+_UNSAFE = re.compile("[\x00-\x20\x7f]")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
 # How a kept-alive socket that the server has closed fails a request.
-# http.client.RemoteDisconnected is a ConnectionResetError.
 _STALE = (BrokenPipeError, ConnectionAbortedError, ConnectionResetError)
 
 
-def _import_all_but_ssl(name, *args, **kwargs):
-    if name == "ssl":
-        raise ImportError("ssl is imported only when an https connection opens")
-    return builtins.__import__(name, *args, **kwargs)
-
-
-def _load_http_client():
-    """A private copy of http.client that runs its own imports through
-    _import_all_but_ssl, so it has no HTTPSConnection and leaves
-    sys.modules as it was."""
-    spec = importlib.util.find_spec("http.client")
-    module = importlib.util.module_from_spec(spec)
-    module.__builtins__ = dict(vars(builtins), __import__=_import_all_but_ssl)
-    spec.loader.exec_module(module)
-    return module
-
-
-_client = _load_http_client()
-
-
-class _HTTPSConnection(_client.HTTPConnection):
-    """HTTPSConnection with its default context, which imports ssl when it
-    first connects instead of when http.client is imported."""
-
-    default_port = _client.HTTPS_PORT
-    _context = None
-
-    def connect(self) -> None:
-        import ssl  # an ImportError fails the attempt like any other error
-        if self._context is None:
-            # As http.client.HTTPSConnection makes its default context.
-            context = ssl._create_default_https_context()
-            context.set_alpn_protocols(["http/1.1"])
-            if context.post_handshake_auth is not None:
-                context.post_handshake_auth = True
-            self._context = context
-        super().connect()
-        self.sock = self._context.wrap_socket(self.sock, server_hostname=self.host)
-
-
-def _connection(url: str) -> tuple[_client.HTTPConnection | None, str]:
-    """An unopened connection to url's server and the path to POST to, or
-    (None, "") for a URL that cannot be posted to: one with no host, a
-    scheme other than http and https, or a malformed port or host."""
+def _target(url: str) -> tuple[str, int, bool, bytes] | None:
+    """(host, port, https, request head up to the Content-Length value)
+    for url, or None for a URL that cannot be posted to: one with no host,
+    a scheme other than http and https, a malformed port or host, or a
+    host or path that http.client would refuse."""
     try:
         parts = urlsplit(url)
-        connection = {"http": _client.HTTPConnection,
-                      "https": _HTTPSConnection}.get(parts.scheme)
-        if connection is None or not parts.hostname:
-            return None, ""
-        conn = connection(parts.hostname, parts.port, timeout=TIMEOUT_S)
-    except (ValueError, _client.InvalidURL):
-        return None, ""
-    return conn, (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        host, port = parts.hostname, parts.port
+        https = parts.scheme == "https"
+        if parts.scheme not in ("http", "https") or not host:
+            return None
+        path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if _UNSAFE.search(host) or _UNSAFE.search(path):
+            return None
+        try:
+            host_header = host.encode("ascii")
+        except UnicodeEncodeError:
+            host_header = host.encode("idna")
+        if ":" in host:  # an IPv6 address, named without its zone
+            host_header = b"[" + host_header.partition(b"%")[0] + b"]"
+        if port is None:
+            port = 443 if https else 80
+        elif port != (443 if https else 80):
+            host_header += b":%d" % port
+        head = (b"POST " + path.encode("ascii") + b" HTTP/1.1\r\nHost: " + host_header
+                + b"\r\nContent-Type: application/json\r\nContent-Length: ")
+    except ValueError:  # a malformed port or host; a path or host that does not encode
+        return None
+    return host, port, https, head
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("webhook attempt ran out of time")
+    return left
+
+
+class _Reply:
+    """Reads one HTTP/1.x reply from a socket, each recv bounded by what
+    is left until the attempt's deadline. A reply that is not HTTP/1.x,
+    or whose head passes MAX_HEAD, raises ValueError."""
+
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        self.sock = sock
+        self.deadline = deadline
+        self.buf = bytearray()
+
+    def _more(self) -> bool:
+        """Append the next bytes from the socket; False at its end."""
+        self.sock.settimeout(_time_left(self.deadline))
+        data = self.sock.recv(65536)
+        self.buf += data
+        return bool(data)
+
+    def _line(self) -> bytes:
+        while (end := self.buf.find(b"\n")) < 0:
+            if len(self.buf) > MAX_HEAD or not self._more():
+                raise ValueError("reply cut short in a line")
+        line = bytes(self.buf[:end + 1])
+        del self.buf[:end + 1]
+        return line
+
+    def _skip(self, length: int) -> None:
+        while len(self.buf) < length:
+            length -= len(self.buf)
+            self.buf.clear()
+            if not self._more():
+                raise ValueError("reply body cut short")
+        del self.buf[:length]
+
+    def read(self) -> tuple[int, bool]:
+        """The final status, after its whole body, and whether the
+        connection can carry another request."""
+        while True:
+            while (end := _HEAD_END.search(self.buf, 0, MAX_HEAD)) is None:
+                if len(self.buf) >= MAX_HEAD:
+                    raise ValueError("reply head too long")
+                if not self._more():
+                    if not self.buf:  # as a server closing an idle connection does
+                        raise ConnectionResetError("connection closed before a reply")
+                    raise ValueError("reply cut short in its head")
+            status_line, *lines = bytes(self.buf[:end.start()]).split(b"\n")
+            del self.buf[:end.end()]
+            fields = status_line.split(None, 2)
+            if (len(fields) < 2 or not fields[0].startswith(b"HTTP/1.")
+                    or len(fields[1]) != 3 or not fields[1].isdigit() or fields[1] < b"100"):
+                raise ValueError("reply is not HTTP/1.x")
+            version, status = fields[0], int(fields[1])
+            if status >= 200:  # a 1xx reply is followed by another
+                break
+        headers = {}
+        for line in lines:
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise ValueError("reply header without a colon")
+            headers[name.strip().lower()] = value.strip().lower()
+        connection = headers.get(b"connection", b"")
+        keep_alive = (b"keep-alive" in connection if version == b"HTTP/1.0"
+                      else b"close" not in connection)
+        if status in (204, 304):
+            pass
+        elif b"chunked" in headers.get(b"transfer-encoding", b""):
+            while (size := int(self._line().partition(b";")[0], 16)) != 0:
+                if size < 0:
+                    raise ValueError("negative chunk size")
+                self._skip(size)
+                if self._line().strip():
+                    raise ValueError("chunk not followed by CRLF")
+            while self._line().strip():  # trailers, up to a blank line
+                pass
+        elif (length := headers.get(b"content-length")) is not None:
+            if not length.isdigit():
+                raise ValueError("bad Content-Length")
+            self._skip(int(length))
+        else:  # the body ends where the server closes the connection
+            while self._more():
+                self.buf.clear()
+            keep_alive = False
+        # Bytes past the reply would be read as the next one's.
+        return status, keep_alive and not self.buf
 
 
 class WebhookSink:
@@ -124,7 +202,9 @@ class WebhookSink:
         self.delivered = 0
         self.failed = 0
         self._sent = 0
-        self._conn, self._path = _connection(url)
+        self._target = _target(url)
+        self._sock: socket.socket | None = None
+        self._tls_context = None  # made when an https connection first opens
         # Guards delivered and failed against close() giving up on the
         # worker; once it has, the worker counts nothing more.
         self._lock = threading.Lock()
@@ -188,33 +268,60 @@ class WebhookSink:
                         self.failed += 1
                         logger.warning("webhook delivery failed twice for %s", item.alert_id)
         finally:
-            if self._conn is not None:
-                self._conn.close()
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def _post(self, body: bytes) -> bool:
         """One attempt; True when the server replied 2xx."""
-        if self._conn is None:
+        if self._target is None:
             return False
-        reused = self._conn.sock is not None
+        deadline = time.monotonic() + TIMEOUT_S
+        request = b"%s%d\r\n\r\n%s" % (self._target[3], len(body), body)
+        reused = self._sock is not None
         try:
             try:
-                response = self._reply(body)
+                status = self._exchange(request, deadline)
             except _STALE:
                 if not reused:
                     raise
-                self._conn.close()
-                response = self._reply(body)
-            # Read to the end, so the connection can carry the next POST.
-            with response:
-                response.read()
-                return 200 <= response.status < 300
-        except (OSError, ValueError, ImportError, _client.HTTPException):
-            # ValueError: a path or host that does not encode.
+                self._disconnect()
+                status = self._exchange(request, deadline)
+        except (OSError, ValueError, ImportError):
+            # ValueError: a reply that is not HTTP/1.x.
             # ImportError: an https URL where ssl cannot be imported.
-            # HTTPException: a reply that is not HTTP.
-            self._conn.close()
+            self._disconnect()
             return False
+        return 200 <= status < 300
 
-    def _reply(self, body: bytes) -> _client.HTTPResponse:
-        self._conn.request("POST", self._path, body, _HEADERS)
-        return self._conn.getresponse()
+    def _exchange(self, request: bytes, deadline: float) -> int:
+        """Send request, opening a connection if none is open, and read
+        the whole reply; returns its status."""
+        if self._sock is None:
+            self._sock = self._connect(deadline)
+        self._sock.settimeout(_time_left(deadline))
+        self._sock.sendall(request)
+        status, keep_alive = _Reply(self._sock, deadline).read()
+        if not keep_alive:
+            self._disconnect()
+        return status
+
+    def _connect(self, deadline: float) -> socket.socket:
+        host, port, https, _ = self._target
+        sock = socket.create_connection((host, port), timeout=_time_left(deadline))
+        if not https:
+            return sock
+        try:
+            import ssl  # an ImportError fails the attempt like any other error
+            if self._tls_context is None:
+                context = ssl.create_default_context()
+                context.set_alpn_protocols(["http/1.1"])
+                self._tls_context = context
+            sock.settimeout(_time_left(deadline))
+            return self._tls_context.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -478,3 +479,74 @@ def test_debounce_no_short_raise():
             idx = frame_id - 1
             assert all(hot[idx - k] for k in range(n_raise)), \
                 f"raise at frame {frame_id} without {n_raise} consecutive hot frames"
+
+
+@pytest.mark.parametrize("n_raise, n_clear", [(1, 1), (2, 4), (3, 10), (5, 2)])
+def test_tracker_matches_a_dict_of_states_driven_by_step(n_raise, n_clear):
+    # Forty streams, each in hot or cold runs that flip now and then, with
+    # frame_ids that sometimes repeat or step back: the tracker, which keeps
+    # an idle stream as an int, must give what a dict of AlertStates driven
+    # by step() gives, frame by frame and at the final flush.
+    cfg = TemporalConfig(n_raise=n_raise, n_clear=n_clear)
+    rng = random.Random(n_raise * 100 + n_clear)
+    streams = [f"cam-{i}" for i in range(40)]
+    hot = {stream_id: False for stream_id in streams}
+    last = {stream_id: 1000 for stream_id in streams}
+    tracker, reference, dropped = AlertTracker(cfg), {}, 0
+    for ts_ms in range(6000):
+        stream_id = rng.choice(streams)
+        if rng.random() < 0.2:
+            hot[stream_id] = not hot[stream_id]
+        level = rng.choice([ThreatLevel.GRASPED, ThreatLevel.OVERHAND_THREAT] if hot[stream_id]
+                           else [ThreatLevel.NONE, ThreatLevel.OBJECT_PRESENT])
+        score = rng.uniform(*((0.6, 1.0) if hot[stream_id] else (0.0, 0.5)))
+        roll = rng.random()
+        if roll < 0.05:
+            frame_id = last[stream_id]  # repeated
+        elif roll < 0.1:
+            frame_id = last[stream_id] - rng.randint(1, 5)  # stale
+        else:
+            frame_id = last[stream_id] = last[stream_id] + rng.randint(1, 3)
+        state = reference.get(stream_id) or new_state(stream_id)
+        try:
+            reference[stream_id], expected = step(
+                state, ThreatAssessment(stream_id, frame_id, level, score, ()), cfg, ts_ms=ts_ms)
+        except OutOfOrderFrame:
+            dropped, expected = dropped + 1, None
+        assert tracker.feed(stream_id, frame_id, ts_ms, level, score) == expected
+        assert tracker.dropped == dropped
+    assert tracker.states.keys() == reference.keys()
+    idle = 0
+    for stream_id, entry in tracker.states.items():
+        state = reference[stream_id]
+        if state.consecutive_hot or state.active_alert_id is not None:
+            assert entry == state
+        else:
+            assert entry == state.last_frame_id and type(entry) is int
+            idle += 1
+    assert 0 < idle < len(streams)
+    expected = []
+    for stream_id in sorted(reference):
+        state = reference[stream_id]
+        state, event = flush(state, state.last_ts_ms)
+        if event is not None:
+            expected.append(event)
+    assert tracker.flush_all() == expected
+    assert tracker.flush_all() == []
+    assert len(tracker.states) == len(streams)
+
+
+def test_an_idle_stream_costs_under_100_bytes():
+    stream_ids = [f"cam-{i}" for i in range(50_000)]
+    tracker = AlertTracker(TemporalConfig())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, stream_id in enumerate(stream_ids):
+            # frame_ids above the small-int cache, each its own object
+            tracker.feed(stream_id, 1000 + i, 33 * i, ThreatLevel.NONE, 0.0)
+        per_stream = (tracemalloc.get_traced_memory()[0] - before) / len(stream_ids)
+    finally:
+        tracemalloc.stop()
+    assert len(tracker.states) == len(stream_ids)
+    assert per_stream < 100

@@ -1,7 +1,10 @@
 """Webhook sink: delivery, retry, and never-blocking guarantees."""
 
-import http.client
+import contextlib
+import itertools
 import json
+import os
+import pathlib
 import re
 import shutil
 import socket
@@ -147,11 +150,11 @@ def test_watch_prints_webhook_counts(tmp_path, capsys):
     assert lines[-1] == f"webhook: delivered={events} failed=0 dropped=0"
 
 
-def _serve_garbage(listener, replies):
-    """Answer each POST on listener with bytes that are not HTTP."""
+def _serve_raw(listener, replies, reply):
+    """Answer each POST on listener with the bytes reply, then close."""
     for _ in range(replies):
         conn, _ = listener.accept()
-        with conn:
+        with conn, contextlib.suppress(OSError):  # the client may close first
             request = b""
             while b"\r\n\r\n" not in request:
                 request += conn.recv(65536)
@@ -159,14 +162,16 @@ def _serve_garbage(listener, replies):
             length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
             while len(body) < length:
                 body += conn.recv(65536)
-            conn.sendall(b"garbage\r\n\r\n")
+            conn.sendall(reply)
 
 
-def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
+def _post_five_to_raw(monkeypatch, reply):
+    """Post five events to a server that answers each with reply; the
+    sink's counts after close()."""
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        server = threading.Thread(target=_serve_garbage, args=(listener, 10), daemon=True)
+        server = threading.Thread(target=_serve_raw, args=(listener, 10, reply), daemon=True)
         server.start()
         with WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook") as sink:
             for _ in range(5):
@@ -174,7 +179,49 @@ def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
         server.join(timeout=10)
         assert not server.is_alive()
     assert uncaught == []
-    assert (sink.delivered, sink.failed, sink.dropped) == (0, 5, 0)
+    return sink.delivered, sink.failed, sink.dropped
+
+
+def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
+    assert _post_five_to_raw(monkeypatch, b"garbage\r\n\r\n") == (0, 5, 0)
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+], ids=["head_over_64_KiB", "body_cut_short"])
+def test_2xx_reply_that_breaks_its_framing_counts_as_failed(monkeypatch, reply):
+    assert _post_five_to_raw(monkeypatch, reply) == (0, 5, 0)
+
+
+def _trickle(listener, connections):
+    """Answer each POST on listener with an endless reply head, one byte
+    every 0.5 s, until the client goes."""
+    for _ in range(connections):
+        conn, _ = listener.accept()
+        with conn, contextlib.suppress(OSError):
+            conn.recv(65536)
+            for byte in itertools.islice(itertools.cycle(b"HTTP/1.1 200 OK\r\nX-Pad: "), 60):
+                conn.sendall(bytes([byte]))
+                time.sleep(0.5)
+
+
+def test_a_reply_that_trickles_fails_at_the_attempt_deadline(monkeypatch):
+    monkeypatch.setattr(webhook, "TIMEOUT_S", 1.0)
+    monkeypatch.setattr(webhook, "CLOSE_WAIT_S", 5.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=_trickle, args=(listener, 2), daemon=True)
+        server.start()
+        sink = WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook")
+        started = time.perf_counter()
+        sink.send(EVENT)
+        sink.close()
+        elapsed = time.perf_counter() - started
+        server.join(timeout=10)
+        assert not server.is_alive()
+    # two attempts, each cut at its deadline although no recv waited long
+    assert (sink.delivered, sink.failed, sink.dropped) == (0, 1, 0)
+    assert elapsed < 2 * 1.0 + 1.0
 
 
 @pytest.mark.parametrize("max_queue", [1000, 1], ids=["room_for_stop", "stop_waits_for_room"])
@@ -275,8 +322,38 @@ class _CountedRecorder(_Recorder):
             self.server.connections += 1
 
 
-@pytest.mark.parametrize("handler, connections", [(_KeepAlive, 1), (_CountedRecorder, 7)],
-                         ids=["keep_alive", "close_per_request"])
+class _ChunkedReply(_CountedRecorder):
+    """Over HTTP/1.1, an interim 100 reply, then a reply whose body comes
+    in chunks, with an extension and a trailer; the connection stays open."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        super().do_POST()
+
+    def end_headers(self):
+        self.send_header("Transfer-Encoding", "chunked")
+        super().end_headers()
+        self.wfile.write(b"5;ext=1\r\nhello\r\n1\r\n \r\n5\r\nworld\r\n0\r\nX-Sum: 1\r\n\r\n")
+
+
+class _UnframedReply(_CountedRecorder):
+    """Over HTTP/1.1, a reply whose body has no length: it ends where the
+    server closes the connection."""
+
+    protocol_version = "HTTP/1.1"
+
+    def end_headers(self):
+        super().end_headers()
+        self.wfile.write(b"accepted")
+        self.close_connection = True
+
+
+@pytest.mark.parametrize("handler, connections",
+                         [(_KeepAlive, 1), (_CountedRecorder, 7), (_ChunkedReply, 1),
+                          (_UnframedReply, 7)],
+                         ids=["keep_alive", "close_per_request", "chunked", "no_length"])
 def test_connection_is_reused_while_the_server_keeps_it(handler, connections):
     server, thread, url = _serve(handler)
     try:
@@ -352,6 +429,20 @@ def test_url_that_cannot_be_posted_to_counts_as_failed(monkeypatch, url):
     assert (sink.delivered, sink.failed, sink.dropped) == (0, 2, 0)
 
 
+@pytest.mark.parametrize("path", ["/a b", "/a\x7fb", "/h\u00e9"],
+                         ids=["space", "control", "not_ascii"])
+def test_path_that_http_client_refuses_is_not_posted(path):
+    server, url = _start_server()
+    try:
+        with WebhookSink(url.replace("/hook", path)) as sink:
+            sink.send(EVENT)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (sink.delivered, sink.failed, sink.dropped) == (0, 1, 0)
+    assert server.requests == []
+
+
 class _TLSRecorder(_Recorder):
     """_Recorder that notes the ALPN protocol each connection agreed."""
 
@@ -392,8 +483,6 @@ def tls_server(tmp_path):
 def test_https_checks_the_certificate_and_the_host_name(monkeypatch, tls_server, host, trusted,
                                                         has_ssl, delivered):
     server, cert = tls_server
-    # the sink's own copy of http.client, even with the real one loaded
-    assert webhook._client is not http.client
     if trusted:
         monkeypatch.setenv("SSL_CERT_FILE", str(cert))
     else:
@@ -408,3 +497,44 @@ def test_https_checks_the_certificate_and_the_host_name(monkeypatch, tls_server,
     assert (sink.delivered, sink.failed, sink.dropped) == (delivered, 1 - delivered, 0)
     assert server.requests == [("/hook", serialize_alert_event(EVENT).encode())] * delivered
     assert server.alpn == ["http/1.1"] * delivered
+
+
+_POST_ONE = """
+import json, sys
+from threatwatch.alerts import AlertEvent, AlertKind
+from threatwatch.fusion import ThreatLevel
+from threatwatch.webhook import WebhookSink
+with WebhookSink(sys.argv[1]) as sink:
+    sink.send(AlertEvent("cam", "cam:3", AlertKind.RAISED, 3, 66, ThreatLevel.GRASPED, 0.77))
+print(json.dumps([sink.delivered, sink.failed, sink.dropped,
+                  sorted(m for m in sys.modules if m in ("http.client", "ssl")
+                         or m.partition(".")[0] == "email")]))
+"""
+
+
+def _post_in_a_new_process(url, **env):
+    """Post one event from a new process; its counts, and which of
+    http.client, email.* and ssl it then has in sys.modules."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", _POST_ONE, url],
+                            env=dict(os.environ, PYTHONPATH=str(src), **env),
+                            capture_output=True, text=True, check=True, timeout=60)
+    *counts, modules = json.loads(result.stdout)
+    return tuple(counts), modules
+
+
+def test_http_webhook_loads_no_http_client_email_or_ssl():
+    server, url = _start_server()
+    try:
+        assert _post_in_a_new_process(url) == ((1, 0, 0), [])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(server.requests) == 1
+
+
+def test_https_webhook_loads_ssl_but_no_http_client_or_email(tls_server):
+    server, cert = tls_server
+    url = f"https://localhost:{server.server_address[1]}/hook"
+    assert _post_in_a_new_process(url, SSL_CERT_FILE=str(cert)) == ((1, 0, 0), ["ssl"])
+    assert server.requests == [("/hook", serialize_alert_event(EVENT).encode())]
