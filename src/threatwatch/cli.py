@@ -25,9 +25,9 @@ spans) workers (_pool_runs), each taking every workers-th span: a byte
 range of the file, cut by the parent before the fork, or
 backends.SYNTH_SPAN_FRAMES frames of the script. Each span comes back as
 runs of frames cut at its bad lines (assess_span), which go through the
-backend's bad-line policy between the runs. A worker sends a span's runs
-packed (_packed) as one pickle behind its length, a wire format that
-this module alone writes and reads; watch forks the workers before its
+backend's bad-line policy between the runs. A worker sends each span's
+runs (_packed) and bad lines to its pipe as one plain pickle, which this
+module alone writes and reads; watch forks the workers before its
 webhook thread starts. Any other synthetic: script runs the same spans
 in this process, so synthetic: input is assessed from its fields and
 builds no FrameRecord on any number of CPUs. Everything else, every JSONL
@@ -67,8 +67,7 @@ from .backends import (
 from .errors import ThreatwatchError
 from .frames import (MalformedJson, chunk_spans, parse_lines, read_json, read_lines, read_manifest,
                      read_span, serialize_frame_record, validate_manifest)
-from .fusion import (FusionConfig, ThreatLevel, _assess_fields, _assess_line, assess_frame,
-                     serialize_assessment)
+from .fusion import FusionConfig, _assess_fields, _assess_line, assess_frame, serialize_assessment
 
 logger = logging.getLogger(__name__)
 
@@ -293,8 +292,8 @@ def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: 
             lost: Callable[[int], str]) -> Iterator:
     """The results of spans 0 to spans - 1 in order, made by workers
     processes forked here. Worker k pickles the results of work(k), spans
-    k, k + workers, ..., to its own pipe, each behind its length, and
-    leaves through os._exit, so it runs none of this process's exit
+    k, k + workers, ..., to its own pipe, one pickle each, and leaves
+    through os._exit, so it runs none of this process's exit
     handlers and flushes none of its buffers. The parent reads span j's
     result from pipe j % workers; a pipe that ends early means its worker
     died, which ends the run with one error that names the command and,
@@ -320,21 +319,19 @@ def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: 
                         # ends every worker at its next write.
                         for pipe in pipes:
                             pipe.close()
-                        # map: no finished result stays alive beside its pickle.
-                        for payload in map(pickle.dumps, work(part)):
-                            out.write(len(payload).to_bytes(8, "little"))
-                            out.write(payload)
+                        # map: no result stays alive once it is pickled.
+                        for _ in map(pickle.dump, work(part), itertools.repeat(out)):
                             out.flush()
                         code = 0
                     finally:
                         os._exit(code)
             pids.append(pid)
         for j in range(spans):
-            pipe = pipes[j % workers]
-            size = int.from_bytes(head := pipe.read(8), "little")
-            if len(head) < 8 or len(payload := pipe.read(size)) < size:
-                raise ThreatwatchError(f"a {command} worker process died: {lost(j)}")
-            yield pickle.loads(payload)
+            try:
+                result = pickle.load(pipes[j % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise ThreatwatchError(f"a {command} worker process died: {lost(j)}") from None
+            yield result
     finally:
         for pipe in pipes:
             pipe.close()
@@ -344,7 +341,7 @@ def _forked(work: Callable[[int], Iterator], spans: int, workers: int, command: 
 
 def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: int,
                 first_line_no: int
-                ) -> tuple[list[tuple[str | tuple, int]], list[ThreatwatchError]]:
+                ) -> tuple[list[tuple[str | list, int]], list[ThreatwatchError]]:
     """Parse and assess the frame lines of one span of the file at path
     (frames.chunk_spans), numbered from first_line_no, as score (watch
     False) or watch does in one process, but from each line's validated
@@ -361,7 +358,11 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
 
     def cut(exc: ThreatwatchError) -> None:
         nonlocal frames
-        bad.append(exc)
+        # Its traceback and context hold parse_lines' frame, which holds the
+        # span's lines and this closure: a cycle that would keep the span
+        # alive until a full collection.
+        exc.__context__ = None
+        bad.append(exc.with_traceback(None))
         frames = []
         runs.append(frames)
 
@@ -371,38 +372,14 @@ def assess_span(cfg: FusionConfig, watch: bool, path: str, offset: int, nbytes: 
     return _packed(runs, watch), bad
 
 
-def _packed(runs: list[list], watch: bool) -> list[tuple[str | tuple, int]]:
+def _packed(runs: list[list], watch: bool) -> list[tuple[str | list, int]]:
     """Runs of score lines or watch frames as _forked sends them, each as
     (frames, count). A run's frames are, for score, its assessment lines
-    as one string, each ended by LF; for watch, its columns (stream_ids,
-    frame_ids, ts_ms, level values, scores), the numbers in arrays and the
-    levels as bytes, so that a run crosses to the parent as a few buffers
-    rather than a few objects per frame; _unpacked undoes it. A synthetic:
-    script's spans are packed so in this process too."""
-    if not watch:
-        return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
-    # Imported here, so that only watch's span path loads it: no other
-    # command, nor a JSONL watch in one process.
-    from array import array
-
-    packed = []
-    for run in runs:
-        stream_ids, frame_ids, ts_ms, levels, scores = zip(*run) if run else ((),) * 5
-        # frame_id and ts_ms are uint64 (frames._stamp_error).
-        packed.append(((stream_ids, array("Q", frame_ids), array("Q", ts_ms), bytes(levels),
-                        array("d", scores)), len(run)))
-    return packed
-
-
-# The levels by value, as a packed watch run carries them.
-_LEVELS = tuple(ThreatLevel)
-
-
-def _unpacked(columns: tuple) -> Iterator[tuple[str, int, int, ThreatLevel, float]]:
-    """A packed watch run's frames, (stream_id, frame_id, ts_ms, level,
-    score), unpacked in C."""
-    stream_ids, frame_ids, ts_ms, levels, scores = columns
-    return zip(stream_ids, frame_ids, ts_ms, map(_LEVELS.__getitem__, levels), scores)
+    as one string, each ended by LF; for watch, its frame tuples as they
+    are. A synthetic: script's spans are packed so in this process too."""
+    if watch:
+        return [(run, len(run)) for run in runs]
+    return [("\n".join(run) + "\n" if run else "", len(run)) for run in runs]
 
 
 def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, workers: int,
@@ -416,17 +393,16 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, workers: int,
     k makes as part k of backends._synthesize_fields. Either way each
     frame is assessed from its fields and no FrameRecord or
     ThreatAssessment is built: a JSONL line's fields as the parser checks
-    them, a script's frames made as fields. A span comes back as packed
-    runs (_packed) cut at its bad lines; empty runs are skipped, and a
-    watch run is unpacked here. The bad line after each run goes to
+    them, a script's frames made as fields. A span comes back as runs
+    (_packed) cut at its bad lines; empty runs are skipped, and a watch
+    run's frames are given one by one. The bad line after each run goes to
     backend.bad_line when the next run is taken, so in line order among
     the frames the caller takes; a strict backend raises it, which ends
     the runs and the workers.
 
     The workers share the parent's imported modules: on the 10 MB
     replay-score input, the parent peaks at about 17.5 MB RSS and each of
-    two workers at 17.0 MB, 51.5 MB together (26.5 MB PSS), against 17.1
-    MB for one process."""
+    two workers at 14.9 MB, against 17.1 MB for one process."""
     watch = command == "watch"
     if isinstance(backend, backends.SyntheticBackend):
         script, size = backend.script, backends.SYNTH_SPAN_FRAMES
@@ -453,7 +429,7 @@ def _pool_runs(backend: DetectorBackend, cfg: FusionConfig, workers: int,
             for run, exc in itertools.zip_longest(runs, bad):
                 if run[1]:
                     if watch:
-                        yield from _unpacked(run[0])
+                        yield from run[0]
                     else:
                         yield run
                 if exc is not None:

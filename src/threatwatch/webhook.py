@@ -25,8 +25,9 @@ server that trickles its reply cannot hold the thread for longer.
 
 No HTTP client module is loaded: http.client would import email.* and,
 unless kept from it, ssl, which cost more memory and start-up time than
-the few lines here. An http:// URL never loads ssl. An https://
-connection imports ssl when it first opens and checks the certificate and
+the few lines here. The host is connected to by its ASCII or IDNA
+bytes, so the IDNA codec is not loaded either. An http:// URL never
+loads ssl. An https:// connection imports ssl when it first opens and checks the certificate and
 the host name with ssl.create_default_context(); where ssl cannot be
 imported, every event counts as failed. A URL whose host or path holds a
 control character or a space, or whose path is not ASCII, counts every
@@ -64,11 +65,13 @@ _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _STALE = (BrokenPipeError, ConnectionAbortedError, ConnectionResetError)
 
 
-def _target(url: str) -> tuple[str, int, bool, bytes] | None:
+def _target(url: str) -> tuple[bytes, int, bool, bytes] | None:
     """(host, port, https, request head up to the Content-Length value)
     for url, or None for a URL that cannot be posted to: one with no host,
     a scheme other than http and https, a malformed port or host, or a
-    host or path that http.client would refuse."""
+    host or path that http.client would refuse. The host is bytes, ASCII
+    or else IDNA: socket and ssl would encode a str host with the IDNA
+    codec, which loads stringprep and unicodedata."""
     try:
         parts = urlsplit(url)
         host, port = parts.hostname, parts.port
@@ -79,11 +82,11 @@ def _target(url: str) -> tuple[str, int, bool, bytes] | None:
         if _UNSAFE.search(host) or _UNSAFE.search(path):
             return None
         try:
-            host_header = host.encode("ascii")
+            name = host.encode("ascii")
         except UnicodeEncodeError:
-            host_header = host.encode("idna")
-        if ":" in host:  # an IPv6 address, named without its zone
-            host_header = b"[" + host_header.partition(b"%")[0] + b"]"
+            name = host.encode("idna")
+        # An IPv6 address is named without its zone.
+        host_header = b"[" + name.partition(b"%")[0] + b"]" if ":" in host else name
         if port is None:
             port = 443 if https else 80
         elif port != (443 if https else 80):
@@ -92,7 +95,7 @@ def _target(url: str) -> tuple[str, int, bool, bytes] | None:
                 + b"\r\nContent-Type: application/json\r\nContent-Length: ")
     except ValueError:  # a malformed port or host; a path or host that does not encode
         return None
-    return host, port, https, head
+    return name, port, https, head
 
 
 def _time_left(deadline: float) -> float:

@@ -2,6 +2,7 @@
 bad lines, what a one-process run loads, and a stdin input that is the
 output file."""
 
+import gc
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from threatwatch.cli import assess_span, main
 from threatwatch.frames import chunk_spans, parse_frame_record
-from threatwatch.fusion import FusionConfig, assess_frame
+from threatwatch.fusion import FusionConfig, ThreatLevel, assess_frame
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -57,22 +58,39 @@ def test_score_runs_are_cut_at_each_bad_line(frames_file, tmp_path, capsys):
     assert "".join(text for text, _ in runs) == out.read_text()
 
 
-def test_watch_runs_are_columns_cut_at_each_bad_line(frames_file):
+def test_watch_runs_are_frames_cut_at_each_bad_line(frames_file):
     cfg = FusionConfig()
     runs, bad = assess_span(cfg, True, str(frames_file), 0, frames_file.stat().st_size, 1)
     assert [exc.line_no for exc in bad] == _BAD_LINE_NOS
     assert len(runs) == len(bad) + 1
     assert [count for _, count in runs] == [0, 2, 0, 1, 3, 0]
-    rows = [row for columns, count in runs for row in zip(*columns)]
+    rows = [row for frames, count in runs for row in frames]
     expected = []
     for line_no, line in enumerate(_LINES, 1):
         if line_no not in _BAD_LINE_NOS:
             record = parse_frame_record(line, line_no)
             assessment = assess_frame(record, cfg)
             expected.append((record.stream_id, record.frame_id, record.ts_ms,
-                             assessment.level.value, assessment.score))
+                             assessment.level, assessment.score))
     assert rows == expected
-    assert all(len(column) == count for columns, count in runs for column in columns)
+    assert all(type(level) is ThreatLevel for _, _, _, level, _ in rows)
+    assert all(len(frames) == count for frames, count in runs)
+
+
+@pytest.mark.parametrize("watch", [False, True], ids=["score", "watch"])
+def test_a_span_with_bad_lines_leaves_no_cycle(frames_file, watch):
+    # A bad line's traceback or context would hold the parser's frame, and
+    # so the span's lines, in a cycle with the runs.
+    gc.collect()
+    gc.disable()
+    try:
+        runs, bad = assess_span(FusionConfig(), watch, str(frames_file), 0,
+                                frames_file.stat().st_size, 1)
+        assert len(bad) == len(_BAD_LINE_NOS)
+        del runs, bad
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("size", [1, 40, 200])
@@ -92,7 +110,7 @@ _LOADED = """\
 import sys
 from threatwatch import cli
 code = cli.main(sys.argv[1:])
-print([m for m in ("multiprocessing", "concurrent.futures", "array") if m in sys.modules])
+print([m for m in ("multiprocessing", "concurrent.futures", "pickle") if m in sys.modules])
 sys.exit(code)
 """
 

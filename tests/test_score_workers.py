@@ -467,11 +467,10 @@ def test_worker_death_exits_1_without_hanging(tmp_path):
 
 @fork_only
 def test_worker_killed_inside_a_payload_exits_with_the_line_it_lost(tmp_path, monkeypatch):
-    # Worker 1 of 2 is killed once part of span 1's payload is in its pipe,
-    # after the length before it: the parent reads a payload shorter than
-    # that length. The parent reads only once the worker is dead, since a
-    # killed writer still fills a pipe that is being drained; WNOWAIT leaves
-    # it for the parent to reap.
+    # Worker 1 of 2 is killed once part of span 1's pickle is in its pipe:
+    # the parent reads a pickle that is cut short. The parent reads only
+    # once the worker is dead, since a killed writer still fills a pipe
+    # that is being drained; WNOWAIT leaves it for the parent to reap.
     import fcntl
     import signal
     import termios
@@ -503,7 +502,7 @@ def test_worker_killed_inside_a_payload_exits_with_the_line_it_lost(tmp_path, mo
                            "score") as runs:
             assert len(pids) == len(read_fds) == 2
             deadline = time.monotonic() + 30
-            while queued(read_fds[1]) <= 8:  # the length, then the payload
+            while queued(read_fds[1]) <= 8:  # more than the pickle's first bytes
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             os.kill(pids[1], signal.SIGKILL)
@@ -695,7 +694,7 @@ def test_watch_chunk_boundaries_match_one_process(tmp_path, monkeypatch, caplog,
 def test_watch_pool_frames_equal_one_process_frames(tmp_path, monkeypatch, caplog):
     # The frames watch feeds its alert tracker, not only the bytes it
     # writes: an int level from the workers would serialize alike. Both
-    # inputs' workers send the same columns.
+    # inputs' workers send the same frame tuples.
     frames = tmp_path / "frames.jsonl"
     frames.write_bytes(_streams() + HOSTILE)
     script = tmp_path / "script.json"

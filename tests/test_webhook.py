@@ -507,16 +507,18 @@ from threatwatch.webhook import WebhookSink
 with WebhookSink(sys.argv[1]) as sink:
     sink.send(AlertEvent("cam", "cam:3", AlertKind.RAISED, 3, 66, ThreatLevel.GRASPED, 0.77))
 print(json.dumps([sink.delivered, sink.failed, sink.dropped,
-                  sorted(m for m in sys.modules if m in ("http.client", "ssl")
+                  sorted(m for m in sys.modules if m in sys.argv[2:]
                          or m.partition(".")[0] == "email")]))
 """
+# What the IDNA codec loads.
+_IDNA = ("encodings.idna", "stringprep", "unicodedata")
 
 
-def _post_in_a_new_process(url, **env):
+def _post_in_a_new_process(url, *modules, **env):
     """Post one event from a new process; its counts, and which of
-    http.client, email.* and ssl it then has in sys.modules."""
+    email.* and modules it then has in sys.modules."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run([sys.executable, "-c", _POST_ONE, url],
+    result = subprocess.run([sys.executable, "-c", _POST_ONE, url, *modules],
                             env=dict(os.environ, PYTHONPATH=str(src), **env),
                             capture_output=True, text=True, check=True, timeout=60)
     *counts, modules = json.loads(result.stdout)
@@ -526,7 +528,7 @@ def _post_in_a_new_process(url, **env):
 def test_http_webhook_loads_no_http_client_email_or_ssl():
     server, url = _start_server()
     try:
-        assert _post_in_a_new_process(url) == ((1, 0, 0), [])
+        assert _post_in_a_new_process(url, "http.client", "ssl", *_IDNA) == ((1, 0, 0), [])
     finally:
         server.shutdown()
         server.server_close()
@@ -536,5 +538,6 @@ def test_http_webhook_loads_no_http_client_email_or_ssl():
 def test_https_webhook_loads_ssl_but_no_http_client_or_email(tls_server):
     server, cert = tls_server
     url = f"https://localhost:{server.server_address[1]}/hook"
-    assert _post_in_a_new_process(url, SSL_CERT_FILE=str(cert)) == ((1, 0, 0), ["ssl"])
+    assert (_post_in_a_new_process(url, "http.client", "ssl", *_IDNA, SSL_CERT_FILE=str(cert))
+            == ((1, 0, 0), ["ssl"]))
     assert server.requests == [("/hook", serialize_alert_event(EVENT).encode())]
