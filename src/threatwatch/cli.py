@@ -244,11 +244,15 @@ POOL_MIN_CHUNKS = 4
 # The fewest frames of a synthetic: script that score and watch run in
 # worker processes. On a 2-vCPU host, five-scene scripts at noise 0.02,
 # two sets of 16 alternating one-process and forked score pairs at each
-# size: the pool won 8 and 2 pairs at 4,000 frames, 12 and 4 at 5,000, 13
-# and 11 at 6,000, 11 and 7 at 8,000, 7 and 6 at 10,000. Neither side won
-# 13 pairs at two adjacent sizes in both sets (one-process runs took
-# either about 95k or about 160k fps), so the value stays.
-SYNTH_POOL_MIN_FRAMES = 5000
+# size: the pool won 1 and 1 pairs at 5,000 frames, 1 and 0 at 6,000, 1
+# and 1 at 8,000, 0 and 0 at 10,000, 0 and 1 at 15,000, 1 and 1 at 20,000,
+# 14 and 16 at 30,000, 16 and 14 at 40,000, 15 and 16 at 60,000. One
+# process won 13 pairs at two adjacent sizes in both sets up to 20,000
+# frames, and the pool from 30,000, so the value is 30,000. In two earlier
+# passes the pool won at most 8 pairs of a set from 5,000 to 8,000 frames,
+# and they split from 10,000 to 20,000 (13 and 13 at 10,000 in one, 0 and
+# 2 in the other).
+SYNTH_POOL_MIN_FRAMES = 30000
 
 
 def _may_fork() -> bool:

@@ -14,12 +14,12 @@ ThreatAssessment:
 
 Detection evidence outranks classifier evidence: detections carry
 localization, the classifier does not. One body, _fuse, holds the level,
-score and evidence rules. It reads the qualifying hands and knives as
-(index, conf, cx, cy) and the keypoints as (name, x, y, conf), so it
-takes a FrameRecord (assess_frame) and a frame's validated fields
-(frames._frame_fields) alike: _assess_fields makes a frame's score line
-or watch frame from its fields with no FrameRecord or ThreatAssessment
-built, and _assess_line does so for one JSONL line.
+score and evidence rules, on the qualifying hands and knives as (index,
+conf, cx, cy) and the keypoints as (name, x, y, conf): assess_frame feeds
+it a FrameRecord, and _assess_fields a frame's validated fields
+(frames._frame_fields), making a score line, or a watch frame with no
+evidence and no wrist gate, with no FrameRecord or ThreatAssessment built;
+_assess_line does so for one JSONL line.
 
 Everything here is pure, stateless and assesses one frame at a time; it
 reads no file, so frames can be assessed in parallel in any order.
@@ -27,13 +27,13 @@ reads no file, so frames can be assessed in parallel in any order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from json.encoder import encode_basestring_ascii as _json_str
+from math import hypot
 
-from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, KeypointKind, Label,
-                     PoseKeypoint, _frame_fields, _keypoint_kind, _parse_line)
+from .frames import (BoundingBox, ClassScores, FrameRecord, InstanceDetection, Label,
+                     PoseKeypoint, _frame_fields, _parse_line)
 
 # Absolute slack for comparisons against configured thresholds (distance,
 # vertical separation, classifier margin), so that decimal-specified
@@ -80,6 +80,17 @@ class PoseEvidence(Enum):
     WRIST_NEAR_KNIFE = "wrist_near_knife"
     WRIST_NO_KNIFE = "wrist_no_knife"
     NO_WRIST = "no_wrist"
+
+
+# Read per frame from these globals: on CPython 3.11 an enum member read
+# from its class (ThreatLevel.GRASPED) costs about 0.17 µs.
+_NONE, _OBJECT_PRESENT, _GRASPED, _OVERHAND = ThreatLevel
+_OBJECT_FLOOR, _GRASPED_FLOOR, _OVERHAND_FLOOR = (SCORE_BANDS[level][0] for level in ThreatLevel if level)
+_THREAT, _NO_THREAT_NO_HAND, _NO_THREAT_HAND, _INDETERMINATE = FrameClass
+_HAND = Label.HAND
+_LEVEL_JSON = {level: _json_str(level.wire) for level in ThreatLevel}
+_POSE_GATES = tuple(PoseEvidence)
+_POSE_TAGS = tuple(f"pose:{gate.value}" for gate in _POSE_GATES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,49 +165,39 @@ def _classify(threat: float, no_threat: float, hand: float, cfg: FusionConfig) -
     # The top two scores, a class taking the lead only when strictly
     # greater: so an exact tie goes to the class tried first.
     if hand > no_threat:
-        top_value, top_class, second_value = hand, FrameClass.NO_THREAT_HAND, no_threat
+        top_value, top_class, second_value = hand, _NO_THREAT_HAND, no_threat
     else:
-        top_value, top_class, second_value = no_threat, FrameClass.NO_THREAT_NO_HAND, hand
+        top_value, top_class, second_value = no_threat, _NO_THREAT_NO_HAND, hand
     if threat > top_value:
-        top_value, top_class, second_value = threat, FrameClass.THREAT, top_value
+        top_value, top_class, second_value = threat, _THREAT, top_value
     elif threat > second_value:
         second_value = threat
     if second_value == top_value:
         return top_class
     if top_value - second_value < cfg.margin - GEOM_TOL:
-        return FrameClass.INDETERMINATE
+        return _INDETERMINATE
     return top_class
-
-
-def _rises(hand_cy: float, knife_cy: float, cfg: FusionConfig) -> bool:
-    """is_overhand's rule on the two box center heights."""
-    return knife_cy - hand_cy >= cfg.epsilon_vert - GEOM_TOL
 
 
 def is_overhand(hand_box: BoundingBox, knife_box: BoundingBox, cfg: FusionConfig) -> bool:
     """True iff the hand center sits above the knife center by at least
     cfg.epsilon_vert (y grows downward). Horizontal offset is not checked;
     association already bounds proximity. Equal centers are non-threatening."""
-    return _rises(hand_box.center()[1], knife_box.center()[1], cfg)
+    return knife_box.center()[1] - hand_box.center()[1] >= cfg.epsilon_vert - GEOM_TOL
 
 
-# (index, conf, cx, cy) of a detection with conf >= tau_det: its position
-# in the frame's detection list and its box center.
-_Qualified = tuple[int, float, float, float]
-# (distance, hand_idx, knife_idx, hand conf, knife conf, overhand)
-_Edge = tuple[float, int, int, float, float, bool]
-# (name, x, y, conf) of a keypoint.
-_Keypoint = tuple[str, float, float, float]
+_Qualified = tuple[int, float, float, float]  # (index in the frame, conf, cx, cy), conf >= tau_det
+_Edge = tuple[float, int, int, float, float, bool]  # (distance, hand_idx, knife_idx, hconf, kconf, overhand)
+_Keypoint = tuple[str, float, float, float]  # (name, x, y, conf)
 
 
 def _qualifying(detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
                 cfg: FusionConfig) -> tuple[list[_Qualified], list[_Qualified]]:
     """The hands and the knives with conf >= cfg.tau_det, each in input order."""
-    hands: list[_Qualified] = []
-    knives: list[_Qualified] = []
+    hands, knives = [], []
     for i, det in enumerate(detections):
         if det.conf >= cfg.tau_det:
-            (hands if det.label is Label.HAND else knives).append((i, det.conf, *det.box.center()))
+            (hands if det.label is _HAND else knives).append((i, det.conf, *det.box.center()))
     return hands, knives
 
 
@@ -206,27 +207,27 @@ def _keypoint_fields(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint]) -
 
 
 def _candidate_edges(hands: list[_Qualified], knives: list[_Qualified], cfg: FusionConfig) -> list[_Edge]:
-    """All (distance, hand_idx, knife_idx, hand conf, knife conf, overhand)
-    pairs of qualifying detections whose centers lie within
-    cfg.delta_assoc of each other, in ascending (distance, hand_idx,
-    knife_idx) order."""
+    """The edges of the qualifying hands and knives whose centers lie within
+    cfg.delta_assoc, hand by hand; overhand is is_overhand's rule."""
     limit = cfg.delta_assoc + GEOM_TOL
+    rise = cfg.epsilon_vert - GEOM_TOL
     edges = []
     for hi, hconf, hcx, hcy in hands:
         for ki, kconf, kcx, kcy in knives:
-            dist = math.hypot(kcx - hcx, kcy - hcy)
+            dist = hypot(kcx - hcx, kcy - hcy)
             if dist <= limit:
-                edges.append((dist, hi, ki, hconf, kconf, _rises(hcy, kcy, cfg)))
-    # (hand_idx, knife_idx) is unique, so the sort never compares further.
-    edges.sort()
+                edges.append((dist, hi, ki, hconf, kconf, kcy - hcy >= rise))
     return edges
 
 
 def _match(edges: list[_Edge]) -> list[_Edge]:
-    """Greedy matching over sorted edges, each detection used at most once."""
-    used_hands: set[int] = set()
-    used_knives: set[int] = set()
-    matched = []
+    """Greedy matching in ascending (distance, hand_idx, knife_idx) order, each
+    detection used at most once. Sorts edges in place; a lone edge is kept."""
+    if len(edges) == 1:
+        return edges
+    # (hand_idx, knife_idx) is unique, so the sort never compares further.
+    edges.sort()
+    used_hands, used_knives, matched = set(), set(), []
     for edge in edges:
         if edge[1] not in used_hands and edge[2] not in used_knives:
             used_hands.add(edge[1])
@@ -235,9 +236,8 @@ def _match(edges: list[_Edge]) -> list[_Edge]:
     return matched
 
 
-def associate_hand_knife(
-    detections: tuple[InstanceDetection, ...] | list[InstanceDetection], cfg: FusionConfig
-) -> list[GraspPair]:
+def associate_hand_knife(detections: tuple[InstanceDetection, ...] | list[InstanceDetection],
+                         cfg: FusionConfig) -> list[GraspPair]:
     """Pair hands with knives by greedy nearest-center matching.
 
     Only detections with conf >= cfg.tau_det participate. Candidate pairs
@@ -260,23 +260,24 @@ def pose_gate(keypoints: tuple[PoseKeypoint, ...] | list[PoseKeypoint],
     knife box center; WRIST_NO_KNIFE otherwise (a bare fist, the benign
     case a knife detector alone would confuse).
     """
-    return _wrist_gate(_keypoint_fields(keypoints), _qualifying(detections, cfg)[1], cfg)
+    return _POSE_GATES[_wrist_gate(_keypoint_fields(keypoints), _qualifying(detections, cfg)[1], cfg)]
 
 
 def _wrist_gate(keypoints: tuple[_Keypoint, ...] | list[_Keypoint], knives: list[_Qualified],
-                cfg: FusionConfig) -> PoseEvidence:
-    """pose_gate over the keypoints' fields and the qualifying knives."""
+                cfg: FusionConfig) -> int:
+    """pose_gate over the keypoints' fields and the qualifying knives, as its
+    index in _POSE_GATES. A wrist's lowered name holds "wrist", the first
+    kind (KeypointKind.WRIST) that frames._keypoint_kind tries."""
     tau = cfg.tau_pose
-    wrists = [(x, y) for name, x, y, conf in keypoints
-              if conf >= tau and _keypoint_kind(name) is KeypointKind.WRIST]
-    if not wrists:
-        return PoseEvidence.NO_WRIST
     limit = cfg.delta_wrist + GEOM_TOL
-    for _, _, kcx, kcy in knives:
-        for x, y in wrists:
-            if math.hypot(x - kcx, y - kcy) <= limit:
-                return PoseEvidence.WRIST_NEAR_KNIFE
-    return PoseEvidence.WRIST_NO_KNIFE
+    gate = 2
+    for name, x, y, conf in keypoints:
+        if conf >= tau and "wrist" in name.lower():
+            for _, _, kcx, kcy in knives:
+                if hypot(x - kcx, y - kcy) <= limit:
+                    return 0
+            gate = 1
+    return gate
 
 
 def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
@@ -303,60 +304,59 @@ def assess_frame(record: FrameRecord, cfg: FusionConfig) -> ThreatAssessment:
     OBJECT_PRESENT; the min pair conf of the best pair for GRASPED, or of
     the best overhand candidate for OVERHAND_THREAT.
     """
-    hands, knives = _qualifying(record.detections, cfg)
-    scores = record.scores
-    level, score, evidence = _fuse(
-        hands, knives, None if scores is None else (scores.threat, scores.no_threat, scores.hand),
-        _keypoint_fields(record.keypoints) if record.keypoints else (), cfg)
-    return ThreatAssessment(record.stream_id, record.frame_id, level, score, evidence)
-
-
-_POSE_TAGS = {gate: f"pose:{gate.value}" for gate in PoseEvidence}
+    c = record.scores
+    scores = None if c is None else (c.threat, c.no_threat, c.hand)
+    return ThreatAssessment(record.stream_id, record.frame_id, *_fuse(
+        *_qualifying(record.detections, cfg), scores, _keypoint_fields(record.keypoints), cfg, True))
 
 
 def _fuse(hands: list[_Qualified], knives: list[_Qualified],
           scores: tuple[float, float, float] | None, keypoints: tuple[_Keypoint, ...] | list[_Keypoint],
-          cfg: FusionConfig) -> tuple[ThreatLevel, float, tuple[str, ...]]:
+          cfg: FusionConfig, trail: bool) -> tuple[ThreatLevel, float, tuple[str, ...]]:
     """assess_frame's (level, score, evidence) of a frame with the given
     qualifying hands and knives, scores (threat, no_threat, hand) or None,
-    and keypoints: the one fusion body, which both a FrameRecord
-    (assess_frame) and a frame's fields (_assess_fields) go through."""
-    edges = _candidate_edges(hands, knives, cfg) if hands and knives else ()
+    and keypoints: the one fusion body, behind assess_frame and
+    _assess_fields. With trail false the evidence is () and the wrist gate,
+    which changes nothing else, is not run."""
+    edges = _candidate_edges(hands, knives, cfg) if hands and knives else None
     if edges:
-        # Every edge set yields at least one pair: GRASPED or above.
-        pairs = _match(edges)
-        evidence = [f"pair:h{hi}-k{ki}{':overhand' if overhand else ''}" for _, hi, ki, _, _, overhand in pairs]
         # Best overhand candidate across all edges, matched or not: strongest
         # min conf, then lowest hand index, then lowest knife index.
-        best_overhand = min(
-            ((-min(hconf, kconf), hi, ki) for _, hi, ki, hconf, kconf, overhand in edges if overhand),
-            default=None,
-        )
-        if best_overhand is None:
-            level = ThreatLevel.GRASPED
-            strength = max(min(hconf, kconf) for _, _, _, hconf, kconf, _ in pairs)
+        strength, best = -1.0, None
+        for _, hi, ki, hconf, kconf, overhand in edges:
+            if overhand:
+                conf = hconf if hconf < kconf else kconf
+                if conf > strength or conf == strength and (hi, ki) < best:
+                    strength, best = conf, (hi, ki)
+        pairs = _match(edges) if trail or best is None else ()
+        if best is None:
+            for _, _, _, hconf, kconf, _ in pairs:  # every edge set yields a pair
+                conf = hconf if hconf < kconf else kconf
+                if conf > strength:
+                    strength = conf
+            level, score = _GRASPED, _GRASPED_FLOOR + 0.10 * strength
         else:
-            level = ThreatLevel.OVERHAND_THREAT
-            neg_strength, hi, ki = best_overhand
-            strength = -neg_strength
-            winning_tag = f"pair:h{hi}-k{ki}:overhand"
-            if winning_tag not in evidence:
-                evidence.append(winning_tag)
+            level, score = _OVERHAND, _OVERHAND_FLOOR + 0.10 * strength
+        if not trail:
+            return level, score, ()
+        evidence = [f"pair:h{hi}-k{ki}{':overhand' if overhand else ''}" for _, hi, ki, _, _, overhand in pairs]
+        if best is not None and (winning_tag := "pair:h%d-k%d:overhand" % best) not in evidence:
+            evidence.append(winning_tag)
     elif knives:
-        # max keeps the first of equally confident knives.
-        ki, strength, _, _ = max(knives, key=lambda q: q[1])
-        level, evidence = ThreatLevel.OBJECT_PRESENT, [f"knife:k{ki}"]
-    elif scores is not None and _classify(*scores, cfg) is FrameClass.THREAT:
-        level, strength, evidence = ThreatLevel.OBJECT_PRESENT, scores[0], ["classifier:threat"]
+        ki, strength = knives[0][:2]
+        for i, conf, _, _ in knives:
+            if conf > strength:  # so the first of equally confident knives
+                ki, strength = i, conf
+        level, score, evidence = _OBJECT_PRESENT, _OBJECT_FLOOR + 0.10 * strength, [f"knife:k{ki}"]
+    elif scores is not None and _classify(*scores, cfg) is _THREAT:
+        level, score, evidence = _OBJECT_PRESENT, _OBJECT_FLOOR + 0.10 * scores[0], ["classifier:threat"]
     else:
-        return ThreatLevel.NONE, 0.0, ()
-
+        return _NONE, 0.0, ()
+    if not trail:
+        return level, score, ()
     if keypoints:
         evidence.append(_POSE_TAGS[_wrist_gate(keypoints, knives, cfg)])
-    return level, SCORE_BANDS[level][0] + 0.10 * strength, tuple(evidence)
-
-
-_LEVEL_JSON = {level: _json_str(level.wire) for level in ThreatLevel}
+    return level, score, tuple(evidence)
 
 
 def serialize_assessment(assessment: ThreatAssessment) -> str:
@@ -374,7 +374,7 @@ def _assessment_line(stream_id: str, frame_id: int, level: ThreatLevel, score: f
     return (
         f'{{"stream_id":{_json_str(stream_id)},"frame_id":{frame_id},'
         f'"level":{_LEVEL_JSON[level]},"score":{float.__repr__(score)},'
-        f'"evidence":[{",".join(map(_json_str, evidence))}]}}'
+        f'"evidence":[{",".join(map(_json_str, evidence)) if evidence else ""}]}}'
     )
 
 
@@ -383,15 +383,15 @@ def _assess_fields(frame: tuple, cfg: FusionConfig, watch: bool) -> str | tuple:
     fields (frames._frame_fields), with no record built: for score,
     serialize_assessment(assess_frame(record, cfg)) of the record with
     those fields; for watch, the frame (stream_id, frame_id, ts_ms, level,
-    score) of that assessment."""
+    score) of that assessment, for which _fuse writes no evidence and runs
+    no wrist gate."""
     stream_id, frame_id, ts_ms, scores, detections, keypoints = frame
-    hands: list[_Qualified] = []
-    knives: list[_Qualified] = []
+    hands, knives = [], []
     tau = cfg.tau_det
     for i, (label, x, y, w, h, conf, _) in enumerate(detections):
         if conf >= tau:  # as _qualifying, with the box center of BoundingBox.center
-            (hands if label is Label.HAND else knives).append((i, conf, x + w / 2.0, y + h / 2.0))
-    level, score, evidence = _fuse(hands, knives, scores, keypoints, cfg)
+            (hands if label is _HAND else knives).append((i, conf, x + w / 2.0, y + h / 2.0))
+    level, score, evidence = _fuse(hands, knives, scores, keypoints, cfg, not watch)
     if watch:
         return stream_id, frame_id, ts_ms, level, score
     return _assessment_line(stream_id, frame_id, level, score, evidence)
