@@ -26,7 +26,8 @@ from enum import Enum
 
 from .errors import ThreatwatchError
 from .frames import _trusted
-from .fusion import _LEVEL_JSON, ThreatAssessment, ThreatLevel, _json_str
+from .fusion import (_GRASPED, _LEVEL_JSON, _NONE, _OVERHAND, ThreatAssessment, ThreatLevel,
+                     _json_str)
 
 logger = logging.getLogger(__name__)
 
@@ -155,7 +156,7 @@ def _advance(state: AlertState, frame_id: int, ts_ms: int, level: ThreatLevel, s
     if state.last_frame_id is not None and frame_id <= state.last_frame_id:
         raise OutOfOrderFrame(stream_id, frame_id, state.last_frame_id)
 
-    if level >= ThreatLevel.GRASPED:
+    if level >= _GRASPED:
         consecutive_hot = state.consecutive_hot + 1
         consecutive_cold = 0
     else:
@@ -166,13 +167,13 @@ def _advance(state: AlertState, frame_id: int, ts_ms: int, level: ThreatLevel, s
     if alert_id is None:
         if consecutive_hot < cfg.n_raise:
             return _new_state(stream_id, consecutive_hot, consecutive_cold, None, False,
-                              ThreatLevel.NONE, 0.0, frame_id, ts_ms), None
+                              _NONE, 0.0, frame_id, ts_ms), None
         alert_id = f"{stream_id}:{frame_id}"
         return (_new_state(stream_id, consecutive_hot, 0, alert_id, False, level, score,
                            frame_id, ts_ms),
                 AlertEvent(stream_id, alert_id, AlertKind.RAISED, frame_id, ts_ms, level, score))
 
-    escalate = not state.escalated and level is ThreatLevel.OVERHAND_THREAT
+    escalate = not state.escalated and level is _OVERHAND
     advanced = _new_state(
         stream_id, consecutive_hot, consecutive_cold, alert_id, state.escalated or escalate,
         level if level > state.peak_level else state.peak_level,
@@ -197,7 +198,7 @@ def flush(state: AlertState, ts_ms: int) -> tuple[AlertState, AlertEvent | None]
         event = AlertEvent(state.stream_id, state.active_alert_id, AlertKind.CLEARED,
                            state.last_frame_id if state.last_frame_id is not None else 0,
                            ts_ms, state.peak_level, state.peak_score)
-    return _new_state(state.stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0,
+    return _new_state(state.stream_id, 0, 0, None, False, _NONE, 0.0,
                       state.last_frame_id, ts_ms), event
 
 
@@ -228,10 +229,10 @@ class AlertTracker:
             if state.__class__ is not AlertState:  # idle: the last frame_id, or None if unseen
                 if state is not None and frame_id <= state:
                     raise OutOfOrderFrame(stream_id, frame_id, state)
-                if level < ThreatLevel.GRASPED:
+                if level < _GRASPED:
                     self.states[stream_id] = frame_id
                     return None
-                state = _new_state(stream_id, 0, 0, None, False, ThreatLevel.NONE, 0.0, state, 0)
+                state = _new_state(stream_id, 0, 0, None, False, _NONE, 0.0, state, 0)
             state, event = _advance(state, frame_id, ts_ms, level, score, self.cfg)
         except OutOfOrderFrame as exc:
             self.dropped += 1

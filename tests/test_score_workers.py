@@ -831,6 +831,30 @@ def test_watch_forks_its_workers_before_the_webhook_thread_starts(tmp_path, rece
             "no child is left"]
 
 
+def test_watch_on_a_live_pipe_alerts_before_its_input_ends(tmp_path, receiver):
+    # watch reads stdin line by line: the third hot frame raises the alert
+    # while stdin stays open, and no read-ahead holds the POST back.
+    url = f"http://127.0.0.1:{receiver.server_address[1]}/hook"
+    with subprocess.Popen([sys.executable, "-m", "threatwatch", "watch", "--input", "-",
+                           "--alerts", str(tmp_path / "alerts.jsonl"), "--webhook", url],
+                          stdin=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as watch:
+        try:
+            watch.stdin.write(b"".join(_frame("cam", frame_id, "hot") for frame_id in (1, 2, 3)))
+            watch.stdin.flush()
+            deadline = time.monotonic() + 10
+            while not receiver.bodies and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert watch.poll() is None
+            assert [json.loads(body)["kind"] for body in receiver.bodies] == ["raised"]
+            _, err = watch.communicate(timeout=60)  # closes stdin
+        finally:
+            watch.kill()
+    assert watch.returncode == 0
+    assert err.decode().splitlines()[-1] == "webhook: delivered=2 failed=0 dropped=0"
+    assert [json.loads(body)["kind"] for body in receiver.bodies] == ["raised", "cleared"]
+
+
 def _script(noises, durations=(8, 5, 11, 3, 20), seed=5):
     """A script of the five scenes with the given durations and noises
     (cycled). The defaults start segments on the edges of 8-frame spans

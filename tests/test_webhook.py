@@ -165,19 +165,22 @@ def _serve_raw(listener, replies, reply):
             conn.sendall(reply)
 
 
-def _post_five_to_raw(monkeypatch, reply):
-    """Post five events to a server that answers each with reply; the
-    sink's counts after close()."""
+def _post_five_to_raw(monkeypatch, reply, posts=10):
+    """Post five events to a server that answers each of posts POSTs with
+    reply and sees no more; the sink's counts after close()."""
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        server = threading.Thread(target=_serve_raw, args=(listener, 10, reply), daemon=True)
+        server = threading.Thread(target=_serve_raw, args=(listener, posts, reply), daemon=True)
         server.start()
         with WebhookSink(f"http://127.0.0.1:{listener.getsockname()[1]}/hook") as sink:
             for _ in range(5):
                 sink.send(EVENT)
         server.join(timeout=10)
         assert not server.is_alive()
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # no connection beyond those answered
     assert uncaught == []
     return sink.delivered, sink.failed, sink.dropped
 
@@ -188,10 +191,17 @@ def test_reply_that_is_not_http_counts_as_failed(monkeypatch):
 
 @pytest.mark.parametrize("reply", [
     b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
-    b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
-], ids=["head_over_64_KiB", "body_cut_short"])
+    b"HTTP/1.1 200 OK\r\nX-Pad: 1\r\n",
+], ids=["head_over_64_KiB", "head_cut_short"])
 def test_2xx_reply_that_breaks_its_framing_counts_as_failed(monkeypatch, reply):
     assert _post_five_to_raw(monkeypatch, reply) == (0, 5, 0)
+
+
+def test_2xx_head_counts_once_whatever_body_follows(monkeypatch):
+    # The head alone decides: a body cut short is not read, and the event
+    # is not posted a second time.
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"
+    assert _post_five_to_raw(monkeypatch, reply, posts=5) == (5, 0, 0)
 
 
 def _trickle(listener, connections):
@@ -282,8 +292,9 @@ def test_close_gives_up_when_stop_cannot_be_queued(monkeypatch):
 
 
 class _KeepAlive(_Recorder):
-    """_Recorder over HTTP/1.1: the connection stays open between POSTs.
-    Counts the connections it was handed."""
+    """_Recorder over HTTP/1.1, which keeps a connection open between POSTs
+    unless the client says Connection: close. Counts the connections it was
+    handed."""
 
     protocol_version = "HTTP/1.1"
 
@@ -324,7 +335,7 @@ class _CountedRecorder(_Recorder):
 
 class _ChunkedReply(_CountedRecorder):
     """Over HTTP/1.1, an interim 100 reply, then a reply whose body comes
-    in chunks, with an extension and a trailer; the connection stays open."""
+    in chunks, with an extension and a trailer."""
 
     protocol_version = "HTTP/1.1"
 
@@ -350,11 +361,9 @@ class _UnframedReply(_CountedRecorder):
         self.close_connection = True
 
 
-@pytest.mark.parametrize("handler, connections",
-                         [(_KeepAlive, 1), (_CountedRecorder, 7), (_ChunkedReply, 1),
-                          (_UnframedReply, 7)],
+@pytest.mark.parametrize("handler", [_KeepAlive, _CountedRecorder, _ChunkedReply, _UnframedReply],
                          ids=["keep_alive", "close_per_request", "chunked", "no_length"])
-def test_connection_is_reused_while_the_server_keeps_it(handler, connections):
+def test_each_attempt_opens_its_own_connection(handler):
     server, thread, url = _serve(handler)
     try:
         with WebhookSink(url) as sink:
@@ -366,11 +375,11 @@ def test_connection_is_reused_while_the_server_keeps_it(handler, connections):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert (sink.delivered, sink.failed, sink.dropped) == (7, 0, 0)
-    assert server.connections == connections
+    assert server.connections == 7
     assert server.requests == [("/hook?key=1", serialize_alert_event(EVENT).encode())] * 7
 
 
-def test_keep_alive_connection_reopens_after_a_failed_reply():
+def test_a_failed_reply_is_retried_on_a_new_connection():
     server, thread, url = _serve(_KeepAlive)
     server.fail_remaining = 1
     try:
@@ -381,9 +390,10 @@ def test_keep_alive_connection_reopens_after_a_failed_reply():
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
-    # a 500 keeps the connection: the retry and the later events share it
+    # the server would keep the connection after its 500, but the retry
+    # and each later event open their own
     assert (sink.delivered, sink.failed, sink.dropped) == (3, 0, 0)
-    assert len(server.requests) == 4 and server.connections == 1
+    assert len(server.requests) == 4 and server.connections == 4
 
 
 class _ClosesWhileIdle(_KeepAlive):
@@ -407,8 +417,8 @@ def test_stale_kept_alive_connection_does_not_use_up_the_retry():
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
-    # Each event: a 500, then the retry finds the socket closed, reconnects
-    # and is answered 200; the stale try is not an attempt of its own.
+    # Each event: a 500, then the retry, on a new connection of its own,
+    # is answered 200; the connection the server closed is never used again.
     assert (sink.delivered, sink.failed, sink.dropped) == (3, 0, 0)
     assert len(server.requests) == 6 and server.connections == 6
 
@@ -427,6 +437,20 @@ def test_url_that_cannot_be_posted_to_counts_as_failed(monkeypatch, url):
         sink.send(EVENT)
     assert uncaught == []
     assert (sink.delivered, sink.failed, sink.dropped) == (0, 2, 0)
+
+
+@pytest.mark.parametrize("url, host, port, https, host_header", [
+    ("http://b\u00fccher.example/hook", b"xn--bcher-kva.example", 80, False,
+     b"xn--bcher-kva.example"),
+    ("http://example.com/hook", b"example.com", 80, False, b"example.com"),
+    ("https://example.com/hook", b"example.com", 443, True, b"example.com"),
+    ("http://[fe80::1%eth0]:8080/hook", b"fe80::1%eth0", 8080, False, b"[fe80::1]:8080"),
+], ids=["idna_host", "http_default_port", "https_default_port", "ipv6_zone"])
+def test_target_names_the_host_to_connect_to_and_to_send(url, host, port, https, host_header):
+    assert webhook._target(url) == (
+        host, port, https,
+        b"POST /hook HTTP/1.1\r\nHost: " + host_header
+        + b"\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: ")
 
 
 @pytest.mark.parametrize("path", ["/a b", "/a\x7fb", "/h\u00e9"],
